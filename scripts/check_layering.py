@@ -52,16 +52,15 @@ Within ``repro.discord`` a third map (``DISCORD_SUBLAYERS``) keeps the
 discord subsystem a DAG around the shared kernel layer: scalar
 primitives at the bottom, the batched kernels above them, then the
 algorithms in dependency order (DRAG builds on brute force, MERLIN on
-DRAG, MERLIN++ on MERLIN, motifs on the matrix profile):
+DRAG, motifs on the matrix profile):
 
     0  distance          (scalar primitives; reference NN oracle)
     1  kernels           (SeriesContext, batched sweeps, mode dispatch)
     2  brute             (Discord dataclass; exhaustive scan)
     3  drag, matrix_profile
     4  damp, merlin
-    5  merlinpp
-    6  streaming, topk, motifs
-    7  __init__          (facade)
+    5  streaming, topk, motifs
+    6  __init__          (facade)
 
 Packages listed in ``IMPORT_LEAF`` (currently ``nn``) face a stricter
 rule: no ``repro.*`` import at *any* scope — the lazy-import escape
@@ -125,8 +124,9 @@ RESTRICTED_CONSUMERS: dict[str, frozenset[str]] = {
 # scope, function-level included.  ``repro.nn`` is the kernel layer —
 # the layer rule above already blocks module-scope imports, but a lazy
 # function-level import would silently couple the hot training loops
-# (and every worker process the data-parallel trainer forks) to the
-# rest of the tree, so leaves get the stricter whole-file check.
+# (and every process that imports them, from shard workers to the
+# forked retrain child) to the rest of the tree, so leaves get the
+# stricter whole-file check.
 IMPORT_LEAF = {"nn"}
 
 # Intra-``repro.serve`` sublayers: same strictly-lower rule, applied to
@@ -155,11 +155,10 @@ DISCORD_SUBLAYERS: dict[str, int] = {
     "matrix_profile": 3,
     "damp": 4,
     "merlin": 4,
-    "merlinpp": 5,
-    "streaming": 6,
-    "topk": 6,
-    "motifs": 6,
-    "__init__": 7,
+    "streaming": 5,
+    "topk": 5,
+    "motifs": 5,
+    "__init__": 6,
 }
 
 # Packages with an intra-package sublayer map, enforced with the same

@@ -40,22 +40,9 @@ class TriADConfig:
     merlin_step:
         Stride over candidate anomaly lengths in the MERLIN stage; 1
         reproduces the paper's full sweep, larger values bound runtime.
-    discord_mode:
-        Kernel family used by the MERLIN stage's distance math — one of
-        ``repro.discord.DISCORD_MODES``.  ``"auto"`` (default) picks the
-        fast blocked/FFT path; ``"reference"`` pins the original scalar
-        loops (the equivalence oracle).  Results are identical across
-        modes; only speed differs.
     train_stride:
         Stride used when scanning the training series during
         single-window selection (paper analyzes the worst case of 1).
-    data_parallel_workers:
-        When > 1, the trainer evaluates that many contrastive batches
-        concurrently in a ``multiprocessing.Pool`` and applies their
-        averaged gradients as one optimizer step.  Off (0) by default;
-        the parallel schedule is *not* bit-identical to the serial loop
-        (fewer, larger effective steps and a different augmentation rng
-        stream).
     """
 
     depth: int = 6
@@ -83,20 +70,9 @@ class TriADConfig:
     merlin_max_length: int | None = None
     merlin_step: int | None = None
     merlin_padding: int | None = None
-    discord_mode: str = "auto"
     train_stride: int | None = None
-    data_parallel_workers: int = 0
 
     def __post_init__(self) -> None:
-        from ..discord.kernels import DISCORD_MODES
-
-        if self.discord_mode not in DISCORD_MODES:
-            raise ValueError(
-                f"discord_mode must be one of {DISCORD_MODES}, "
-                f"got {self.discord_mode!r}"
-            )
-        if self.data_parallel_workers < 0:
-            raise ValueError("data_parallel_workers must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.depth < 1:

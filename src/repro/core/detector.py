@@ -22,7 +22,6 @@ import numpy as np
 
 from .. import nn
 from ..discord.distance import znorm_subsequences
-from ..discord.kernels import discord_mode
 from ..discord.merlin import MerlinResult, merlin
 from ..pipeline import FeaturePipeline, default_pipeline
 from ..signal.windows import WindowPlan
@@ -306,8 +305,7 @@ class TriAD:
         step = self.config.merlin_step
         if step is None:
             step = max((max_length - min_length) // 24, 1)
-        with discord_mode(self.config.discord_mode):
-            return merlin(segment, min_length, max_length, step=step)
+        return merlin(segment, min_length, max_length, step=step)
 
     def detect(self, test_series: np.ndarray) -> TriADDetection:
         """Full inference: nominate, select, discord-search, vote."""

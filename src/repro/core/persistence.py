@@ -23,6 +23,8 @@ __all__ = ["save_detector", "load_detector"]
 
 _META_KEY = "__triad_meta__"
 _TRAIN_KEY = "__train_series__"
+# Config fields that older files carry but TriADConfig no longer has.
+_RETIRED_CONFIG_KEYS = ("discord_mode", "data_parallel_workers")
 
 
 def save_detector(detector: TriAD, path: str | os.PathLike) -> None:
@@ -60,6 +62,8 @@ def load_detector(path: str | os.PathLike) -> TriAD:
 
     config_dict = meta["config"]
     config_dict["domains"] = tuple(config_dict["domains"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(key, None)
     config = TriADConfig(**config_dict)
     encoder = TriDomainEncoder(config)
     encoder.load_state_dict(state)

@@ -17,13 +17,13 @@ returns the best-validation encoder seen so far, flagged
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import nn, obs
 from ..augment import augment_batch
+from ..nn.switch import Switch
 from ..pipeline import FeaturePipeline, default_pipeline, extract_all_domains
 from ..runtime import DivergenceGuard
 from ..signal.windows import WindowPlan
@@ -41,19 +41,9 @@ __all__ = ["TrainResult", "train_encoder", "contrastive_forward_fusion"]
 # may round the last ulp differently for the doubled row count.  The
 # toggle exists so scripts/bench_nn.py can time the exact
 # pre-optimization two-pass loop as its baseline.
-_FUSE_CONTRASTIVE_FORWARD = True
-
-
-@contextlib.contextmanager
-def contrastive_forward_fusion(enabled: bool):
-    """Context manager pinning the fused/two-pass contrastive forward."""
-    global _FUSE_CONTRASTIVE_FORWARD
-    previous = _FUSE_CONTRASTIVE_FORWARD
-    _FUSE_CONTRASTIVE_FORWARD = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSE_CONTRASTIVE_FORWARD = previous
+_FUSION = Switch("contrastive forward fusion", True)
+#: Context manager pinning the fused/two-pass contrastive forward.
+contrastive_forward_fusion = _FUSION.pinned
 
 
 def _contrastive_representations(
@@ -63,7 +53,7 @@ def _contrastive_representations(
     size: int,
 ):
     """Encode originals and augmented variants, fused when enabled."""
-    if not _FUSE_CONTRASTIVE_FORWARD:
+    if not _FUSION.value:
         return encoder(original_features), encoder(augmented_features)
     fused = encoder(
         {
@@ -102,95 +92,6 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator):
         batch = order[start : start + batch_size]
         if len(batch) >= 2:
             yield batch
-
-
-def _worker_grads(payload):
-    """Pool worker: one contrastive batch forward+backward on a fresh
-    encoder rebuilt from ``state``.  Returns ``(loss, grads)`` with
-    ``grads=None`` when the loss is non-finite (the serial loop's
-    poisoned-batch rule)."""
-    state, batch, batch_features, period, config, aug_seed = payload
-    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
-    encoder.load_state_dict(state)
-    encoder.train()
-    rng = np.random.default_rng(aug_seed)
-    augmented = augment_batch(batch, rng)
-    if batch_features is None:
-        batch_features = extract_all_domains(batch, period, config.domains)
-    augmented_features = extract_all_domains(augmented, period, config.domains)
-    r_orig, r_aug = _contrastive_representations(
-        encoder, batch_features, augmented_features, len(batch)
-    )
-    loss = total_contrastive_loss(
-        r_orig,
-        r_aug,
-        alpha=config.alpha,
-        temperature=config.temperature,
-        use_intra=config.use_intra,
-        use_inter=config.use_inter,
-    )
-    value = float(loss.data)
-    if not np.isfinite(value):
-        return value, None
-    loss.backward()
-    grads = [
-        np.asarray(p.grad) if p.grad is not None else np.zeros_like(p.data)
-        for p in encoder.parameters()
-    ]
-    return value, grads
-
-
-def _epoch_loss_parallel(
-    encoder: TriDomainEncoder,
-    windows: np.ndarray,
-    period: int,
-    config: TriADConfig,
-    rng: np.random.Generator,
-    optimizer: nn.Adam,
-    grad_norms: list[float] | None,
-    features: dict[str, np.ndarray] | None,
-    pool,
-    workers: int,
-) -> float:
-    """Data-parallel epoch: groups of ``workers`` batches are evaluated
-    concurrently against the *same* weights and their finite gradients
-    averaged into one optimizer step.
-
-    Deliberately not bit-identical to the serial loop — the effective
-    step count shrinks by the group size and each batch augments from
-    its own seeded rng — which is why the knob is off by default and the
-    equivalence benchmarks always run serial.
-    """
-    batches = list(_batches(len(windows), config.batch_size, rng))
-    losses: list[float] = []
-    params = encoder.parameters()
-    for start in range(0, len(batches), workers):
-        group = batches[start : start + workers]
-        state = encoder.state_dict()
-        payloads = []
-        for batch_idx in group:
-            aug_seed = int(rng.integers(np.iinfo(np.int64).max))
-            batch_features = (
-                {d: a[batch_idx] for d, a in features.items()}
-                if features is not None
-                else None
-            )
-            payloads.append(
-                (state, windows[batch_idx], batch_features, period, config, aug_seed)
-            )
-        results = pool.map(_worker_grads, payloads)
-        losses.extend(value for value, _ in results)
-        grad_sets = [grads for _, grads in results if grads is not None]
-        if not grad_sets:
-            continue
-        for param, *per_batch in zip(params, *grad_sets):
-            param.grad = np.mean(per_batch, axis=0)
-        norm = nn.clip_grad_norm(params, config.grad_clip)
-        if grad_norms is not None:
-            grad_norms.append(norm)
-        optimizer.step()
-        optimizer.zero_grad()
-    return float(np.mean(losses)) if losses else 0.0
 
 
 def _epoch_loss(
@@ -305,93 +206,75 @@ def train_encoder(
     optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
     result = TrainResult(encoder=encoder, plan=plan, config=config)
 
-    workers = config.data_parallel_workers
-    pool = None
-    if workers > 1:
-        import multiprocessing
-
-        pool = multiprocessing.Pool(processes=workers)
-
     best_val = np.inf
     best_state = encoder.state_dict()
     last_good = encoder.state_dict()
-    try:
-        with obs.span(
-            "trainer.train_encoder",
-            epochs=config.epochs,
-            windows=len(fit_windows),
-            window_length=plan.length,
-        ):
-            for epoch in range(config.epochs):
-                encoder.train()
-                grad_norms: list[float] = []
-                with obs.span("trainer.epoch"):
-                    if pool is not None:
-                        train_loss = _epoch_loss_parallel(
-                            encoder, fit_windows, plan.period, config, rng,
-                            optimizer, grad_norms, fit_features, pool, workers,
-                        )
-                    else:
-                        train_loss = _epoch_loss(
-                            encoder, fit_windows, plan.period, config, rng,
-                            optimizer, grad_norms, features=fit_features,
-                        )
-                worst_norm = max(grad_norms) if grad_norms else None
-                obs.gauge("trainer.lr", learning_rate)
-                if worst_norm is not None:
-                    obs.observe("trainer.grad_norm", worst_norm)
-                verdict = guard.assess(train_loss, worst_norm)
-                if verdict != "ok":
-                    # Roll back to the last finite weights; the optimizer
-                    # moments may be poisoned, so rebuild it at the
-                    # backed-off rate.
-                    encoder.load_state_dict(last_good)
-                    learning_rate = guard.backed_off_lr(learning_rate)
-                    optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
-                    result.rollbacks += 1
-                    result.train_losses.append(train_loss)
-                    obs.incr("trainer.rollbacks")
-                    obs.event(
-                        "trainer.rollback",
-                        epoch=epoch,
-                        verdict=verdict,
-                        train_loss=train_loss,
-                        grad_norm=worst_norm,
-                        backed_off_lr=learning_rate,
-                    )
-                    if verdict == "abort":
-                        result.diverged = True
-                        obs.incr("trainer.divergence_aborts")
-                        obs.event("trainer.divergence_abort", epoch=epoch,
-                                  rollbacks=result.rollbacks)
-                        break
-                    continue
-                result.train_losses.append(train_loss)
-                last_good = encoder.state_dict()
-                val_loss = None
-                if val_count:
-                    encoder.eval()
-                    with nn.no_grad():
-                        val_loss = _epoch_loss(
-                            encoder, val_windows, plan.period, config, rng,
-                            optimizer=None, features=val_features,
-                        )
-                    result.val_losses.append(val_loss)
-                    if val_loss < best_val:
-                        best_val = val_loss
-                        best_state = encoder.state_dict()
-                obs.event(
-                    "trainer.epoch",
-                    epoch=epoch,
-                    train_loss=train_loss,
-                    val_loss=val_loss,
-                    grad_norm=worst_norm,
-                    lr=learning_rate,
+    with obs.span(
+        "trainer.train_encoder",
+        epochs=config.epochs,
+        windows=len(fit_windows),
+        window_length=plan.length,
+    ):
+        for epoch in range(config.epochs):
+            encoder.train()
+            grad_norms: list[float] = []
+            with obs.span("trainer.epoch"):
+                train_loss = _epoch_loss(
+                    encoder, fit_windows, plan.period, config, rng,
+                    optimizer, grad_norms, features=fit_features,
                 )
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            worst_norm = max(grad_norms) if grad_norms else None
+            obs.gauge("trainer.lr", learning_rate)
+            if worst_norm is not None:
+                obs.observe("trainer.grad_norm", worst_norm)
+            verdict = guard.assess(train_loss, worst_norm)
+            if verdict != "ok":
+                # Roll back to the last finite weights; the optimizer
+                # moments may be poisoned, so rebuild it at the
+                # backed-off rate.
+                encoder.load_state_dict(last_good)
+                learning_rate = guard.backed_off_lr(learning_rate)
+                optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
+                result.rollbacks += 1
+                result.train_losses.append(train_loss)
+                obs.incr("trainer.rollbacks")
+                obs.event(
+                    "trainer.rollback",
+                    epoch=epoch,
+                    verdict=verdict,
+                    train_loss=train_loss,
+                    grad_norm=worst_norm,
+                    backed_off_lr=learning_rate,
+                )
+                if verdict == "abort":
+                    result.diverged = True
+                    obs.incr("trainer.divergence_aborts")
+                    obs.event("trainer.divergence_abort", epoch=epoch,
+                              rollbacks=result.rollbacks)
+                    break
+                continue
+            result.train_losses.append(train_loss)
+            last_good = encoder.state_dict()
+            val_loss = None
+            if val_count:
+                encoder.eval()
+                with nn.no_grad():
+                    val_loss = _epoch_loss(
+                        encoder, val_windows, plan.period, config, rng,
+                        optimizer=None, features=val_features,
+                    )
+                result.val_losses.append(val_loss)
+                if val_loss < best_val:
+                    best_val = val_loss
+                    best_state = encoder.state_dict()
+            obs.event(
+                "trainer.epoch",
+                epoch=epoch,
+                train_loss=train_loss,
+                val_loss=val_loss,
+                grad_norm=worst_norm,
+                lr=learning_rate,
+            )
     if val_count and result.val_losses:
         encoder.load_state_dict(best_state)
     elif result.diverged:

@@ -1,5 +1,5 @@
-"""Discord discovery algorithms: brute force, DRAG, MERLIN, MERLIN++,
-and the matrix profile — all built on the shared chunked distance-kernel
+"""Discord discovery algorithms: brute force, DRAG, MERLIN, DAMP and
+the matrix profile — all built on the shared chunked distance-kernel
 layer in :mod:`repro.discord.kernels` (``set_discord_mode`` selects the
 implementation family; ``reference`` restores the original scalar
 loops)."""
@@ -24,7 +24,6 @@ from .kernels import (
 from .matrix_profile import MatrixProfile, matrix_profile
 from .motifs import Motif, top_k_motifs
 from .merlin import MerlinResult, merlin
-from .merlinpp import merlinpp
 from .streaming import StreamingDiscordDetector, left_matrix_profile
 from .topk import top_k_discords
 
@@ -53,5 +52,4 @@ __all__ = [
     "matrix_profile",
     "MerlinResult",
     "merlin",
-    "merlinpp",
 ]

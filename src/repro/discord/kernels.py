@@ -5,7 +5,7 @@ z-normalized Euclidean distances between subsequences, computed via the
 dot-product identity ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``.  This
 module is the one home for that math — the same
 kernel-family-behind-one-contract design ``repro.nn.conv1d`` uses — so
-DRAG, MERLIN, MERLIN++, DAMP, the matrix profile and the streaming
+DRAG, MERLIN, DAMP, the matrix profile and the streaming
 detector all draw from one set of batched sweeps instead of hand-rolling
 their own loops.
 
@@ -21,8 +21,9 @@ Three pieces:
   :func:`nn_profile` / :func:`nearest_neighbor_distances` (the full
   nearest-non-trivial-neighbor profile), each dispatching on the active
   mode.
-- Mode dispatch — :func:`set_discord_mode` / :func:`get_discord_mode` /
-  :func:`discord_mode`, mirroring ``repro.nn.set_conv1d_mode``:
+- Mode dispatch — ``set_discord_mode`` / ``get_discord_mode`` /
+  ``discord_mode``, one :class:`repro.nn.switch.Switch` like
+  ``repro.nn.set_conv1d_mode``:
 
   - ``"auto"`` (default) — blocked GEMM sweeps, switching to the FFT
     path for very long subsequences on large counts;
@@ -48,13 +49,13 @@ bit-identically to :func:`repro.discord.distance.znorm_subsequences`.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import OrderedDict
 
 import numpy as np
 
 from .. import obs
+from ..nn.switch import Switch
 from .distance import _EPS, default_exclusion, znorm_subsequences
 from .distance import nearest_neighbor_distances as _reference_nn_distances
 
@@ -74,7 +75,6 @@ __all__ = [
 ]
 
 DISCORD_MODES = ("auto", "blocked", "fft", "reference")
-_DISCORD_MODE = "auto"
 
 # ``auto`` switches to the FFT path only when a blocked GEMM row costs
 # clearly more than two length-n transforms: very long subsequences over
@@ -122,40 +122,18 @@ def snap_argmax(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0])
 
 
-def set_discord_mode(mode: str) -> str:
-    """Select the discord kernel implementation; returns the previous mode.
-
-    ``"auto"`` (default) runs blocked GEMM sweeps, switching to the FFT
-    path for very long subsequences; ``"blocked"``, ``"fft"`` and
-    ``"reference"`` force one implementation (tests and benchmarks).
-    """
-    global _DISCORD_MODE
-    if mode not in DISCORD_MODES:
-        raise ValueError(f"unknown discord mode {mode!r}; choose from {DISCORD_MODES}")
-    previous = _DISCORD_MODE
-    _DISCORD_MODE = mode
-    return previous
-
-
-def get_discord_mode() -> str:
-    """Return the active discord kernel mode."""
-    return _DISCORD_MODE
-
-
-@contextlib.contextmanager
-def discord_mode(mode: str):
-    """Context manager pinning the discord kernel implementation."""
-    previous = set_discord_mode(mode)
-    try:
-        yield
-    finally:
-        set_discord_mode(previous)
+# Mode switch (see the module docstring): ``set_discord_mode`` returns
+# the previous mode, ``discord_mode`` pins one for a ``with`` block.
+_DISCORD = Switch("discord", "auto", DISCORD_MODES)
+set_discord_mode = _DISCORD.set
+get_discord_mode = _DISCORD.get
+discord_mode = _DISCORD.pinned
 
 
 def resolve_mode(mode: str | None, length: int, count: int) -> str:
     """Collapse ``None``/``"auto"`` to a concrete kernel choice."""
     if mode is None:
-        mode = _DISCORD_MODE
+        mode = _DISCORD.value
     elif mode not in DISCORD_MODES:
         raise ValueError(f"unknown discord mode {mode!r}; choose from {DISCORD_MODES}")
     if mode == "auto":

@@ -55,11 +55,14 @@ from .kernels import SeriesContext, distance_profiles, get_discord_mode
 
 __all__ = ["MerlinResult", "merlin"]
 
-#: Relative safety margin applied when seeding ``r`` from the previous
-#: length's lower bound.  When the previous discord start is *still* the
-#: discord (or tied with it) at the current length, the bound equals the
-#: discord distance exactly, and seeding ``r`` right at it would park
-#: every tied candidate on DRAG's ``< r`` elimination knife edge where
+#: Relative safety margin applied to every ``r`` handed to DRAG.  The
+#: schedule's values can sit exactly on a discord distance: a seeded
+#: lower bound equals it whenever the previous discord start is *still*
+#: the discord (or tied with it), and the first-length guess
+#: ``2 * sqrt(length)`` halves to ``sqrt(length)``, the distance between
+#: a constant (all-zero after z-normalization) subsequence and any
+#: other.  At ``r`` equal to a tied discord distance every tied
+#: candidate sits on DRAG's ``< r`` elimination knife edge, where
 #: per-mode rounding decides differently.  Backing off by a sliver keeps
 #: the guarantee (any ``r`` <= the true discord distance is safe) and
 #: costs only marginal pruning.
@@ -168,9 +171,7 @@ def merlin(
                 prev_profile = _prev_discord_profile(
                     ctx, prev_index, length, exclusion
                 )
-            seeded = (
-                None if prev_profile is None else prev_profile[2] * (1.0 - LB_MARGIN)
-            )
+            seeded = None if prev_profile is None else prev_profile[2]
             if seeded is not None and seeded > r:
                 # Seeding never overshoots: the current discord distance
                 # is >= this bound, so DRAG succeeds immediately.  Applied
@@ -185,12 +186,14 @@ def merlin(
             for _ in range(max_retries):
                 result.drag_calls += 1
                 retries += 1
+                r_safe = r * (1.0 - LB_MARGIN)
                 preprune = None
                 if prev_profile is not None:
                     distances, nontrivial, _ = prev_profile
-                    preprune = nontrivial & (distances < r)
+                    preprune = nontrivial & (distances < r_safe)
                 found = drag(
-                    series, length, r, exclusion=exclusion, ctx=ctx, preprune=preprune
+                    series, length, r_safe, exclusion=exclusion, ctx=ctx,
+                    preprune=preprune,
                 )
                 if found is not None:
                     break

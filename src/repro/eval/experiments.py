@@ -50,7 +50,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "table4",
             "Table IV",
             "benchmarks/bench_table4_merlin.py",
-            "TriAD windows vs MERLIN++: event accuracy and inference time",
+            "TriAD windows vs full-series MERLIN: event accuracy and inference time",
         ),
         Experiment(
             "fig1",

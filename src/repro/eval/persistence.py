@@ -19,7 +19,7 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-from ..runtime import FailureReport
+from ..runtime import FailureReport, journal
 from .runner import AggregateScores, DatasetScores
 
 __all__ = [
@@ -92,77 +92,58 @@ class SweepCheckpoint:
         Later entries win over earlier ones for the same unit.  Lines
         that fail to parse or reconstruct — a truncated final line from
         a process killed mid-write, or a non-dict / wrong-schema entry —
-        are skipped with a warning naming the line, so a damaged journal
-        degrades to re-running the affected units instead of aborting
-        the resume.
+        are skipped with a warning, so a damaged journal degrades to
+        re-running the affected units instead of aborting the resume.
         """
         results: dict[tuple[str, int], DatasetScores] = {}
         failures: dict[tuple[str, int], FailureReport] = {}
-        if not self.path.exists():
-            return results, failures
-        with open(self.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    self._warn_skip(lineno, "not valid JSON (torn write?)")
-                    continue
-                if not isinstance(entry, dict):
-                    self._warn_skip(lineno, f"expected an object, got {type(entry).__name__}")
-                    continue
-                kind = entry.pop("kind", None)
-                try:
-                    if kind == "result":
-                        run = DatasetScores(**entry)
-                        key = (run.dataset, run.seed)
-                        results[key] = run
-                        failures.pop(key, None)
-                    elif kind == "failure":
-                        report = FailureReport.from_dict(entry)
-                        key = (report.dataset, report.seed)
-                        failures[key] = report
-                        results.pop(key, None)
-                    else:
-                        self._warn_skip(lineno, f"unknown kind {kind!r}")
-                except (TypeError, KeyError, ValueError, AttributeError) as error:
-                    self._warn_skip(lineno, f"{type(error).__name__}: {error}")
+        for entry in journal.load(self.path).records:
+            kind = entry.pop("kind", None)
+            try:
+                if kind == "result":
+                    run = DatasetScores(**entry)
+                    key = (run.dataset, run.seed)
+                    results[key] = run
+                    failures.pop(key, None)
+                elif kind == "failure":
+                    report = FailureReport.from_dict(entry)
+                    key = (report.dataset, report.seed)
+                    failures[key] = report
+                    results.pop(key, None)
+                else:
+                    self._warn_skip(f"unknown kind {kind!r}")
+            except (TypeError, KeyError, ValueError, AttributeError) as error:
+                self._warn_skip(f"{type(error).__name__}: {error}")
         return results, failures
 
-    def _warn_skip(self, lineno: int, reason: str) -> None:
+    def _warn_skip(self, reason: str) -> None:
         warnings.warn(
-            f"skipping checkpoint entry {self.path}:{lineno}: {reason}; "
+            f"skipping checkpoint entry in {self.path}: {reason}; "
             "the affected unit will re-run",
-            RuntimeWarning,
+            journal.JournalWarning,
             stacklevel=3,
         )
 
     def append_result(self, run: DatasetScores) -> None:
-        self._append({"kind": "result", **asdict(run)})
+        journal.append(self.path, {"kind": "result", **asdict(run)})
 
     def append_failure(self, failure: FailureReport) -> None:
-        self._append({"kind": "failure", **failure.to_dict()})
+        journal.append(self.path, {"kind": "failure", **failure.to_dict()})
 
     def clear_failures(self) -> int:
         """Drop failure lines so those units re-run on resume.
 
-        Returns the number of failures cleared.
+        The journal is replaced atomically, so a crash mid-rewrite
+        leaves the previous journal intact.  Returns the number of
+        failures cleared.
         """
         results, failures = self.load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            for run in results.values():
-                handle.write(json.dumps({"kind": "result", **asdict(run)}) + "\n")
+        kept = "".join(
+            json.dumps({"kind": "result", **asdict(run)}) + "\n"
+            for run in results.values()
+        )
+        journal.atomic_write(self.path, kept.encode("utf-8"))
         return len(failures)
-
-    def _append(self, payload: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
 
 
 def per_type_breakdown(

@@ -15,60 +15,23 @@ One directory holds every job:
 - ``<job_id>/CANCEL`` — cooperative cancellation marker, checked by the
   executor between chunks (works across processes).
 
-Torn trailing lines (a process killed mid-write) are skipped with a
-warning, same contract as :class:`repro.eval.persistence.SweepCheckpoint`.
+Both journals are written and replayed through
+:mod:`repro.runtime.journal`: torn lines (a process killed mid-write)
+are skipped with a warning, and the next append starts a fresh line.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ..runtime import journal
 from .spec import JobRecord, valid_transition
 
 __all__ = ["JobStore"]
-
-
-def _append_jsonl(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    """Every parseable dict line of ``path``; torn or malformed lines
-    are skipped with a warning instead of poisoning the replay."""
-    entries: list[dict] = []
-    if not path.exists():
-        return entries
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                warnings.warn(
-                    f"{path}:{lineno}: skipping unparseable journal line "
-                    f"(torn write?): {error}",
-                    stacklevel=2,
-                )
-                continue
-            if not isinstance(entry, dict):
-                warnings.warn(
-                    f"{path}:{lineno}: skipping non-object journal line",
-                    stacklevel=2,
-                )
-                continue
-            entries.append(entry)
-    return entries
 
 
 class JobStore:
@@ -100,20 +63,20 @@ class JobStore:
         directory.mkdir(parents=True, exist_ok=True)
         np.save(directory / "series.npy", np.asarray(series, dtype=np.float64))
         np.save(directory / "train.npy", np.asarray(train, dtype=np.float64))
-        _append_jsonl(self.journal_path, {"kind": "submit", **record.to_dict()})
+        journal.append(self.journal_path, {"kind": "submit", **record.to_dict()})
 
     def append_state(self, job_id: str, state: str, error: str = "") -> None:
         payload = {"kind": "state", "job_id": job_id, "state": state}
         if error:
             payload["error"] = error
-        _append_jsonl(self.journal_path, payload)
+        journal.append(self.journal_path, payload)
 
     def load_jobs(self) -> dict[str, JobRecord]:
         """Replay the lifecycle journal into records, submit-order
         preserved; later state events win, illegal edges are skipped
         with a warning (a stale writer racing a resume)."""
         records: dict[str, JobRecord] = {}
-        for entry in _read_jsonl(self.journal_path):
+        for entry in journal.load(self.journal_path).records:
             kind = entry.pop("kind", None)
             try:
                 if kind == "submit":
@@ -131,6 +94,7 @@ class JobStore:
                             f"{self.journal_path}: ignoring illegal "
                             f"{record.state} -> {new_state} for job "
                             f"{record.job_id}",
+                            journal.JournalWarning,
                             stacklevel=2,
                         )
                         continue
@@ -140,6 +104,7 @@ class JobStore:
                 warnings.warn(
                     f"{self.journal_path}: skipping malformed "
                     f"{kind or 'journal'} entry: {error}",
+                    journal.JournalWarning,
                     stacklevel=2,
                 )
         for record in records.values():
@@ -170,7 +135,7 @@ class JobStore:
         return np.load(self.job_dir(job_id) / "train.npy")
 
     def append_chunk(self, job_id: str, index: int, scores: np.ndarray) -> None:
-        _append_jsonl(
+        journal.append(
             self.job_dir(job_id) / "chunks.jsonl",
             {
                 "chunk": int(index),
@@ -182,7 +147,7 @@ class JobStore:
         """Journaled per-chunk window scores (later lines win)."""
         chunks: dict[int, np.ndarray] = {}
         path = self.job_dir(job_id) / "chunks.jsonl"
-        for entry in _read_jsonl(path):
+        for entry in journal.load(path).records:
             try:
                 chunks[int(entry["chunk"])] = np.asarray(
                     entry["scores"], dtype=np.float64
@@ -190,6 +155,7 @@ class JobStore:
             except (KeyError, TypeError, ValueError) as error:
                 warnings.warn(
                     f"{path}: skipping malformed chunk entry: {error}",
+                    journal.JournalWarning,
                     stacklevel=2,
                 )
         return chunks

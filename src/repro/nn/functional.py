@@ -30,10 +30,9 @@ default ``"auto"`` picks gemm unless the FFT heuristic fires.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
+from .switch import Switch
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 _CONV1D_MODES = ("auto", "gemm", "fft", "reference")
-_CONV1D_MODE = "auto"
 
 # Kernels up to this many taps skip the im2col pack: K accumulated
 # batched GEMMs on strided views beat one big GEMM on a packed matrix
@@ -77,35 +75,12 @@ FFT_MIN_TAPS = 32
 FFT_MIN_SPAN = 24
 
 
-def set_conv1d_mode(mode: str) -> str:
-    """Select the ``conv1d`` implementation; returns the previous mode.
-
-    ``"auto"`` (default) uses the GEMM formulation, switching to the FFT
-    path for large kernel×dilation spans at stride 1; ``"gemm"``,
-    ``"fft"`` and ``"reference"`` force one implementation (tests and
-    benchmarks).
-    """
-    global _CONV1D_MODE
-    if mode not in _CONV1D_MODES:
-        raise ValueError(f"unknown conv1d mode {mode!r}; choose from {_CONV1D_MODES}")
-    previous = _CONV1D_MODE
-    _CONV1D_MODE = mode
-    return previous
-
-
-def get_conv1d_mode() -> str:
-    """Return the active ``conv1d`` implementation mode."""
-    return _CONV1D_MODE
-
-
-@contextlib.contextmanager
-def conv1d_mode(mode: str):
-    """Context manager pinning the ``conv1d`` implementation."""
-    previous = set_conv1d_mode(mode)
-    try:
-        yield
-    finally:
-        set_conv1d_mode(previous)
+# Mode switch (see the module docstring): ``set_conv1d_mode`` returns the
+# previous mode, ``conv1d_mode`` pins one for a ``with`` block.
+_CONV1D = Switch("conv1d", "auto", _CONV1D_MODES)
+set_conv1d_mode = _CONV1D.set
+get_conv1d_mode = _CONV1D.get
+conv1d_mode = _CONV1D.pinned
 
 
 def _conv1d_geometry(
@@ -184,7 +159,7 @@ def conv1d(
         length, kernel_size, dilation, padding, stride
     )
 
-    mode = _CONV1D_MODE
+    mode = _CONV1D.value
     if mode == "reference":
         impl = _conv1d_reference
     elif mode == "fft" or (

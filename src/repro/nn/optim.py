@@ -18,12 +18,12 @@ Every optimizer ships two step implementations behind the one
 
 from __future__ import annotations
 
-import contextlib
 from typing import Iterable
 
 import numpy as np
 
 from .module import Parameter
+from .switch import Switch
 
 __all__ = [
     "Optimizer",
@@ -37,30 +37,12 @@ __all__ = [
     "set_fused_optimizers",
 ]
 
-_FUSED_ENABLED = True
-
-
-def set_fused_optimizers(enabled: bool) -> bool:
-    """Toggle the fused step implementations; returns the previous value."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
-def fused_enabled() -> bool:
-    """Return whether optimizer steps use the fused in-place path."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def fused_optimizers(enabled: bool):
-    """Context manager pinning the fused/reference step selection."""
-    previous = set_fused_optimizers(enabled)
-    try:
-        yield
-    finally:
-        set_fused_optimizers(previous)
+# ``set_fused_optimizers`` returns the previous value,
+# ``fused_optimizers`` pins one for a ``with`` block.
+_FUSED = Switch("fused optimizers", True)
+set_fused_optimizers = _FUSED.set
+fused_enabled = _FUSED.get
+fused_optimizers = _FUSED.pinned
 
 
 class Optimizer:
@@ -97,7 +79,7 @@ class SGD(Optimizer):
         self._scratch: list[np.ndarray] | None = None
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
+        if not _FUSED.value:
             return self._step_reference()
         if self._scratch is None:
             self._scratch = [np.empty_like(p.data) for p in self.parameters]
@@ -162,7 +144,7 @@ class Adam(Optimizer):
         return self._scratch
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
+        if not _FUSED.value:
             return self._step_reference()
         scratch = self._ensure_scratch()
         self._step_count += 1
@@ -234,7 +216,7 @@ class AdamW(Adam):
         self.decoupled_weight_decay = weight_decay
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
+        if not _FUSED.value:
             if self.decoupled_weight_decay:
                 for param in self.parameters:
                     if param.grad is not None:
@@ -269,7 +251,7 @@ class RMSProp(Optimizer):
         self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
+        if not _FUSED.value:
             return self._step_reference()
         if self._scratch is None:
             self._scratch = [

@@ -43,7 +43,6 @@ See ``docs/ADAPTIVE.md`` for the lifecycle and the audit-trail format.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -54,7 +53,7 @@ import numpy as np
 from .. import obs
 from ..metrics import affiliation_metrics, pa_k_auc
 from ..pipeline import calibrate_threshold, default_pipeline, from_window_scorer
-from ..runtime import BudgetExceededError, DivergenceGuard, RetryPolicy, RunBudget
+from ..runtime import BudgetExceededError, DivergenceGuard, RetryPolicy, RunBudget, journal
 from .drift import DriftSignal
 from .engine import ScoringEngine, StreamAlert
 from .registry import WindowScorer
@@ -385,10 +384,11 @@ class AdaptationDecision:
 class AdaptationJournal:
     """JSONL audit trail of every adaptation decision.
 
-    With a ``path`` each decision is appended as one JSON line the
-    moment it is made (crash-safe: the trail survives the process);
-    without one the journal is in-memory only.  ``entries`` always
-    holds the dictionaries in order.
+    With a ``path`` each decision is durably appended through
+    :func:`repro.runtime.journal.append` the moment it is made, and
+    :func:`repro.runtime.journal.load` reads the trail back; without a
+    path the journal is in-memory only.  ``entries`` always holds the
+    dictionaries in order.
     """
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
@@ -399,8 +399,7 @@ class AdaptationJournal:
         entry = decision.as_dict()
         self.entries.append(entry)
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            journal.append(self.path, entry)
 
 
 @dataclass(frozen=True)

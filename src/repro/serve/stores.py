@@ -18,8 +18,8 @@ Backends:
   durability.
 - :class:`FileBackedStore` — one ``.npz`` per stream written
   atomically (tmp + fsync + rename) plus an fsync'd JSONL index
-  journal, the same torn-line skip-and-warn discipline as
-  :class:`repro.jobs.store.JobStore`.  Survives a supervisor restart.
+  journal, both through :mod:`repro.runtime.journal` (torn index lines
+  are skipped with a warning).  Survives a supervisor restart.
 - :class:`SharedMemoryStore` — ``multiprocessing.shared_memory``
   segments named under a namespace, with the stream index itself kept
   in a shared segment, so a *different process* (or a restarted
@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ..runtime import journal
 
 __all__ = [
     "StreamSnapshot",
@@ -222,13 +224,13 @@ class InMemoryStore(StoreProvider):
 class FileBackedStore(StoreProvider):
     """One atomically-written ``.npz`` per stream plus an index journal.
 
-    ``<dir>/<digest>.npz`` holds the snapshot bytes (tmp file, fsync,
-    ``os.replace`` — a crash leaves the previous snapshot intact, never
-    a torn one).  ``<dir>/streams.jsonl`` journals ``{stream_id,
-    digest}`` lines (and ``deleted`` tombstones) fsync'd in the
-    :class:`repro.jobs.store.JobStore` discipline, so ``stream_ids``
-    replays the journal instead of parsing every blob, and torn
-    trailing lines are skipped with a warning.
+    ``<dir>/<digest>.npz`` holds the snapshot bytes, written with
+    :func:`repro.runtime.journal.atomic_write` — a crash leaves the
+    previous snapshot intact, never a torn one.  ``<dir>/streams.jsonl``
+    journals ``{stream_id, digest}`` lines (and ``deleted`` tombstones)
+    through :func:`repro.runtime.journal.append`, so ``stream_ids``
+    replays the journal instead of parsing every blob, and torn lines
+    are skipped with a warning.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -236,61 +238,33 @@ class FileBackedStore(StoreProvider):
         self.directory.mkdir(parents=True, exist_ok=True)
         self._index_path = self.directory / "streams.jsonl"
         self._index: dict[str, str] = {}  # stream_id -> digest
-        self._replay_index()
-
-    def _replay_index(self) -> None:
-        if not self._index_path.exists():
-            return
-        with open(self._index_path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as error:
-                    warnings.warn(
-                        f"{self._index_path}:{lineno}: skipping unparseable "
-                        f"index line (torn write?): {error}",
-                        stacklevel=2,
-                    )
-                    continue
-                if not isinstance(entry, dict) or "stream_id" not in entry:
-                    warnings.warn(
-                        f"{self._index_path}:{lineno}: skipping malformed "
-                        f"index line",
-                        stacklevel=2,
-                    )
-                    continue
-                if entry.get("deleted"):
-                    self._index.pop(entry["stream_id"], None)
-                else:
-                    self._index[entry["stream_id"]] = entry.get(
-                        "digest", _digest(entry["stream_id"])
-                    )
-
-    def _journal(self, payload: dict) -> None:
-        with open(self._index_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        for entry in journal.load(self._index_path).records:
+            if "stream_id" not in entry:
+                warnings.warn(
+                    f"{self._index_path}: skipping malformed index entry",
+                    journal.JournalWarning,
+                    stacklevel=2,
+                )
+            elif entry.get("deleted"):
+                self._index.pop(entry["stream_id"], None)
+            else:
+                self._index[entry["stream_id"]] = entry.get(
+                    "digest", _digest(entry["stream_id"])
+                )
 
     def _blob_path(self, stream_id: str) -> Path:
         return self.directory / f"{_digest(stream_id)}.npz"
 
     def save(self, snapshot: StreamSnapshot) -> None:
-        data = payload_to_bytes(snapshot.to_payload())
-        path = self._blob_path(snapshot.stream_id)
-        tmp = path.with_suffix(".npz.tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        journal.atomic_write(
+            self._blob_path(snapshot.stream_id),
+            payload_to_bytes(snapshot.to_payload()),
+        )
         if snapshot.stream_id not in self._index:
             self._index[snapshot.stream_id] = _digest(snapshot.stream_id)
-            self._journal(
-                {"stream_id": snapshot.stream_id, "digest": self._index[snapshot.stream_id]}
+            journal.append(
+                self._index_path,
+                {"stream_id": snapshot.stream_id, "digest": self._index[snapshot.stream_id]},
             )
 
     def load(self, stream_id: str) -> StreamSnapshot | None:
@@ -313,7 +287,7 @@ class FileBackedStore(StoreProvider):
             path.unlink()
         if stream_id in self._index:
             del self._index[stream_id]
-            self._journal({"stream_id": stream_id, "deleted": True})
+            journal.append(self._index_path, {"stream_id": stream_id, "deleted": True})
 
     def stream_ids(self) -> list[str]:
         return sorted(self._index)

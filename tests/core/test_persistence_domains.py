@@ -3,11 +3,13 @@
 ``save_detector``/``load_detector`` must reproduce the fitted state for
 any ``TriADConfig.domains`` choice — each subset persists a different
 set of encoders — and ``save_module``/``load_module`` must round-trip
-modules whose parameter names contain dots (submodule paths).
+modules whose parameter names contain dots (submodule paths).  Files
+written before a config field was retired must still load.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +56,42 @@ class TestDomainSubsetRoundTrips:
         assert set(original) == set(reloaded) == set(domains)
         for domain in original:
             assert np.allclose(original[domain], reloaded[domain], atol=1e-12)
+
+
+def _with_config_keys(path, **extra):
+    """Rewrite a saved detector's config as if written with ``extra`` fields."""
+    with np.load(path) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    meta = json.loads(payload["__triad_meta__"].tobytes().decode("utf-8"))
+    meta["config"].update(extra)
+    payload["__triad_meta__"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez_compressed(path, **payload)
+
+
+class TestRetiredConfigKeys:
+    @pytest.fixture(scope="class")
+    def fitted(self, train_series):
+        config = TriADConfig(depth=2, hidden_dim=8, epochs=1, seed=3, max_window=96)
+        return TriAD(config).fit(train_series)
+
+    def test_file_with_retired_keys_loads(self, fitted, tmp_path):
+        path = tmp_path / "old.npz"
+        save_detector(fitted, path)
+        # The key set older versions wrote: two fields since retired.
+        _with_config_keys(path, discord_mode="auto", data_parallel_workers=0)
+        restored = load_detector(path)
+        assert restored.config == fitted.config
+        series = fitted._train_series
+        assert restored.detect(series).window == fitted.detect(series).window
+
+    def test_other_unknown_key_still_raises(self, fitted, tmp_path):
+        path = tmp_path / "future.npz"
+        save_detector(fitted, path)
+        _with_config_keys(path, discord_mode="auto", not_a_field=1)
+        with pytest.raises(TypeError, match="not_a_field"):
+            load_detector(path)
 
 
 class TestModuleRoundTrips:

@@ -74,28 +74,3 @@ class TestContrastiveForwardFusion:
         ):
             assert name_a == name_b
             assert np.allclose(p_a.data, p_b.data, rtol=1e-10, atol=1e-12)
-
-
-class TestDataParallelTraining:
-    def test_parallel_workers_train(self, noisy_wave):
-        config = TriADConfig(
-            depth=2, hidden_dim=8, epochs=2, seed=0, max_window=128,
-            data_parallel_workers=2,
-        )
-        result = train_encoder(noisy_wave, config)
-        assert len(result.train_losses) == 2
-        assert all(np.isfinite(l) for l in result.train_losses)
-        assert not result.encoder.training
-
-    def test_parallel_reproducible_given_seed(self, noisy_wave):
-        config = TriADConfig(
-            depth=2, hidden_dim=8, epochs=2, seed=0, max_window=128,
-            data_parallel_workers=2,
-        )
-        a = train_encoder(noisy_wave, config)
-        b = train_encoder(noisy_wave, config)
-        assert a.train_losses == b.train_losses
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            TriADConfig(data_parallel_workers=-1)

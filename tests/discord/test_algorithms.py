@@ -10,7 +10,6 @@ from repro.discord import (
     drag,
     matrix_profile,
     merlin,
-    merlinpp,
 )
 
 
@@ -91,21 +90,6 @@ class TestMerlin:
     def test_skips_lengths_exceeding_half_series(self, discord_series):
         result = merlin(discord_series[:100], 30, 80, step=10)
         assert all(d.length <= 50 for d in result.discords)
-
-
-class TestMerlinPP:
-    def test_exactly_matches_merlin(self, discord_series):
-        a = merlin(discord_series, 20, 70, step=10)
-        b = merlinpp(discord_series, 20, 70, step=10)
-        assert len(a.discords) == len(b.discords)
-        for x, y in zip(a.discords, b.discords):
-            assert x.length == y.length
-            assert x.index == y.index
-            assert x.distance == pytest.approx(y.distance, abs=1e-6)
-
-    def test_handles_short_series(self):
-        result = merlinpp(np.sin(np.arange(60) / 3.0), 10, 25, step=5)
-        assert all(d.length <= 30 for d in result.discords)
 
 
 class TestMatrixProfile:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.discord import (
@@ -101,6 +101,7 @@ def test_drag_success_threshold_agrees(seed):
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000), constant_run=st.booleans())
+@example(seed=822, constant_run=True)  # first-length r halves onto sqrt(8), the constant-run tie
 @settings(max_examples=15, deadline=None)
 def test_merlin_matches_reference(seed, constant_run):
     """The full MERLIN sweep — lower-bound seeding, pre-pruning and all —

@@ -4,16 +4,18 @@ A process killed mid-``_append`` leaves a truncated final JSONL line;
 editors and stray writers can leave non-object or wrong-schema lines.
 ``load`` skips every such line with a warning naming the file and line
 number, so a damaged journal degrades to re-running the affected units
-instead of aborting the resume.
+instead of aborting the resume.  ``clear_failures`` rewrites the
+journal atomically, so an interrupted rewrite keeps the previous one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from repro.eval import DatasetScores, SweepCheckpoint
+from repro.eval import DatasetScores, SweepCheckpoint, persistence
 from repro.runtime import FailureReport
 
 
@@ -84,3 +86,32 @@ def test_clean_journal_loads_without_warnings(tmp_path):
         warnings_module.simplefilter("error")
         results, failures = checkpoint.load()
     assert len(results) == 1 and len(failures) == 1
+
+
+@pytest.mark.parametrize("fault_point", ["serialize", "fsync"])
+def test_clear_failures_interrupted_keeps_previous_journal(
+    tmp_path, monkeypatch, fault_point
+):
+    checkpoint = make_checkpoint(tmp_path)
+    checkpoint.append_result(DatasetScores("003_am_point", 0, {"roc_auc": 0.5}))
+    intact = checkpoint.path.read_bytes()
+
+    def crash(*args, **kwargs):
+        raise OSError("killed mid-rewrite")
+
+    if fault_point == "serialize":
+        # Let the first surviving result serialize, then fail on the second.
+        real_asdict = persistence.asdict
+        calls = []
+
+        def asdict_then_crash(obj):
+            calls.append(obj)
+            return real_asdict(obj) if len(calls) < 2 else crash()
+
+        monkeypatch.setattr(persistence, "asdict", asdict_then_crash)
+    else:
+        monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="killed mid-rewrite"):
+        checkpoint.clear_failures()
+    assert checkpoint.path.read_bytes() == intact
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.jsonl"]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.data.spec import Dataset
+from repro.runtime import journal as runtime_journal
 from repro.serve import (
     AdaptConfig,
     AdaptationDecision,
@@ -196,6 +197,7 @@ class TestJournal:
         entries = [json.loads(line) for line in lines]
         assert [e["action"] for e in entries] == ["promoted", "rejected"]
         assert journal.entries == entries
+        assert runtime_journal.load(path) == (entries, [])
 
     def test_in_memory_without_path(self):
         journal = AdaptationJournal()
