@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import nn
+from .. import nn, obs
 from ..discord.distance import znorm_subsequences
 from ..discord.merlin import MerlinResult, merlin
 from ..pipeline import FeaturePipeline, default_pipeline
@@ -315,35 +315,33 @@ class TriAD:
         # One windowing + one encoder pass feeds both the per-domain
         # argmin candidates and the top-Z nomination pool (the seed code
         # re-windowed and re-encoded the series for top_z > 1).
-        similarity, starts, length = self._similarity_profile(test_series)
-        candidates = self._candidates_from(similarity, starts, length)
-        if self.config.top_z > 1:
-            extra = self._top_picks_from(similarity, starts, length, self.config.top_z)
-            pool = {
-                f"{domain}#{i}": window
-                for domain, picks in extra.items()
-                for i, window in enumerate(picks)
-            }
+        with obs.span("core.detect.nominate"):
+            similarity, starts, length = self._similarity_profile(test_series)
+            candidates = self._candidates_from(similarity, starts, length)
+            pool = candidates
+            if self.config.top_z > 1:
+                extra = self._top_picks_from(
+                    similarity, starts, length, self.config.top_z
+                )
+                pool = {
+                    f"{domain}#{i}": window
+                    for domain, picks in extra.items()
+                    for i, window in enumerate(picks)
+                }
+        with obs.span("core.detect.select"):
             window = self.select_window(test_series, pool)
-        else:
-            window = self.select_window(test_series, candidates)
-        region = self.search_region(len(test_series), window)
-        discords = self.run_discord_search(test_series, region)
+        with obs.span("core.detect.merlin"):
+            region = self.search_region(len(test_series), window)
+            discords = self.run_discord_search(test_series, region)
         # exception_fraction=0 disables the Sec. IV-G fall-back entirely
         # (the inside-mass ratio can never fall below zero).
         exception_fraction = 0.05 if self.config.exception_enabled else 0.0
         if self.config.scoring == "weighted":
-            from .weighting import score_votes_weighted
-
-            votes = score_votes_weighted(
-                test_length=len(test_series),
-                window=window,
-                discords=discords,
-                search_offset=region[0],
-                exception_fraction=exception_fraction,
-            )
+            from .weighting import score_votes_weighted as vote
         else:
-            votes = score_votes(
+            vote = score_votes
+        with obs.span("core.detect.vote"):
+            votes = vote(
                 test_length=len(test_series),
                 window=window,
                 discords=discords,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .config import TriADConfig
 from .features import domain_channels
@@ -22,7 +23,12 @@ __all__ = ["ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
 
 
 class ResidualBlock(nn.Module):
-    """Two same-padding dilated convolutions with a skip connection."""
+    """Two same-padding dilated convolutions with a skip connection.
+
+    The convs are kept as ``Conv1d`` modules for their parameters (and
+    so ``state_dict`` keys), but ``forward`` runs the whole block as one
+    fused autograd node, :func:`repro.nn.functional.residual_block`.
+    """
 
     def __init__(
         self,
@@ -46,8 +52,17 @@ class ResidualBlock(nn.Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        hidden = self.conv2(self.conv1(x).relu())
-        return (hidden + self.skip(x)).relu()
+        skip = self.skip if isinstance(self.skip, nn.Conv1d) else None
+        return F.residual_block(
+            x,
+            self.conv1.weight,
+            self.conv1.bias,
+            self.conv2.weight,
+            self.conv2.bias,
+            self.conv1.dilation,
+            skip_w=skip.weight if skip is not None else None,
+            skip_b=skip.bias if skip is not None else None,
+        )
 
 
 class DilatedConvEncoder(nn.Module):

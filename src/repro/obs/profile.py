@@ -3,34 +3,31 @@
 Renders the export written by :meth:`ObsSession.export_jsonl` as a
 plain-text profile: top timed sections by total time, counters, gauges,
 value histograms, the trace tree (when spans were recorded), and event
-tallies.  Torn or unparseable lines are skipped, mirroring the
-checkpoint journal's tolerance for killed writers.
+tallies.  Exports replay through :func:`repro.runtime.journal.load`,
+so a torn or unparseable line is skipped with a ``JournalWarning``, as
+in every other journal of the repo.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import defaultdict
+
+from ..runtime import journal
 
 __all__ = ["load_records", "render_profile"]
 
 
 def load_records(path: str | os.PathLike) -> list[dict]:
-    """Parse a JSONL export; skips blank and corrupt lines."""
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "type" in record:
-                records.append(record)
-    return records
+    """Parse a JSONL export into its typed records.
+
+    Raises ``FileNotFoundError`` for a missing export.  Blank lines and
+    objects without a ``"type"`` key are dropped; torn and non-object
+    lines are skipped with one ``JournalWarning`` each.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no such export: {path}")
+    return [record for record in journal.load(path).records if "type" in record]
 
 
 def _fmt_seconds(value: float) -> str:

@@ -102,6 +102,31 @@ class TestDetection:
         for values in sims.values():
             assert np.all(values <= 1.0 + 1e-9) and np.all(values >= -1.0 - 1e-9)
 
+    def test_detect_stage_spans_only_under_a_session(self, fitted, monkeypatch):
+        from repro import obs
+
+        detector, dataset = fitted
+        with obs.observed(trace=True) as session:
+            expected = detector.detect(dataset.test)
+        stages = [s.name for s in session.tracer.spans if s.name.startswith("core.detect.")]
+        assert stages == [
+            "core.detect.nominate",
+            "core.detect.select",
+            "core.detect.merlin",
+            "core.detect.vote",
+        ]
+
+        # With no session each span is the facade's None check: building
+        # a real span context outside a session fails the detect.
+        def no_span_context(*args, **kwargs):
+            raise AssertionError("span context built with no session active")
+
+        recorded = len(session.tracer.spans)
+        monkeypatch.setattr(obs.session, "_SpanContext", no_span_context)
+        detection = detector.detect(dataset.test)
+        assert detection.window == expected.window
+        assert len(session.tracer.spans) == recorded
+
 
 class TestConfiguredBehavior:
     def test_merlin_step_bounds_search(self, fitted):

@@ -10,6 +10,20 @@ from repro.core import TriADConfig, TriDomainEncoder
 from repro.core.encoder import DilatedConvEncoder, ResidualBlock
 
 
+def _graph_nodes(out: nn.Tensor) -> list[nn.Tensor]:
+    """Every tensor in ``out``'s autograd graph that carries a backward."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        tensor = stack.pop()
+        if id(tensor) in seen:
+            continue
+        seen.add(id(tensor))
+        if tensor._backward is not None:
+            nodes.append(tensor)
+        stack.extend(tensor._parents)
+    return nodes
+
+
 @pytest.fixture
 def small_config():
     return TriADConfig(depth=2, hidden_dim=8, seed=0)
@@ -29,8 +43,26 @@ class TestResidualBlock:
         block = ResidualBlock(1, 8, 3, dilation=1, rng=rng)
         assert isinstance(block.skip, nn.Conv1d)
 
+    @pytest.mark.parametrize("in_channels", [1, 8], ids=["projection", "identity"])
+    def test_forward_is_one_graph_node(self, rng, in_channels):
+        # The fused block's memory win: one node holding the padded
+        # input, hidden map and output, not a node per conv/ReLU/add.
+        block = ResidualBlock(in_channels, 8, 3, dilation=2, rng=rng)
+        x = nn.Tensor(rng.normal(size=(2, in_channels, 30)), requires_grad=True)
+        out = block(x)
+        assert _graph_nodes(out) == [out]
+        expected = [x] + list(block.parameters())
+        assert len(out._parents) == len(expected)
+        assert {id(p) for p in out._parents} == {id(p) for p in expected}
+
 
 class TestDilatedConvEncoder:
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_forward_is_one_node_per_block(self, small_config, rng, depth):
+        encoder = DilatedConvEncoder(3, small_config.with_overrides(depth=depth), rng)
+        out = encoder(nn.Tensor(rng.normal(size=(2, 3, 40))))
+        assert len(_graph_nodes(out)) == depth
+
     def test_output_shape(self, small_config, rng):
         encoder = DilatedConvEncoder(3, small_config, rng)
         out = encoder(nn.Tensor(rng.normal(size=(4, 3, 64))))

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.runtime.journal import JournalWarning
 
 
 @pytest.fixture(autouse=True)
@@ -131,9 +132,19 @@ class TestExport:
             "\n"
             '["not-a-dict"]\n'
         )
-        records = obs.load_records(path)
+        with pytest.warns(JournalWarning) as caught:
+            records = obs.load_records(path)
         assert len(records) == 1
         assert records[0]["name"] == "ok"
+        # One warning per skipped line: the torn one and the non-object.
+        assert [str(w.message).split(": ")[1] for w in caught] == [
+            "skipping unparseable line (torn write?)",
+            "skipping non-object line (expected an object, got list)",
+        ]
+
+    def test_load_records_missing_export_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            obs.load_records(tmp_path / "missing.jsonl")
 
 
 class TestProfileRendering:
