@@ -23,7 +23,6 @@ import numpy as np
 
 from .. import nn, obs
 from ..augment import augment_batch
-from ..nn.switch import Switch
 from ..pipeline import FeaturePipeline, default_pipeline, extract_all_domains
 from ..runtime import DivergenceGuard
 from ..signal.windows import WindowPlan
@@ -32,18 +31,7 @@ from .config import TriADConfig
 from .encoder import TriDomainEncoder
 from .losses import total_contrastive_loss
 
-__all__ = ["TrainResult", "train_encoder", "contrastive_forward_fusion"]
-
-# The contrastive loss needs representations of both the original and the
-# augmented batch; fusing them into one [originals; augmented] forward
-# halves the graph.  Every encoder op is row-independent, so the fused
-# pass is mathematically identical — bitwise up to BLAS blocking, which
-# may round the last ulp differently for the doubled row count.  The
-# toggle exists so scripts/bench_nn.py can time the exact
-# pre-optimization two-pass loop as its baseline.
-_FUSION = Switch("contrastive forward fusion", True)
-#: Context manager pinning the fused/two-pass contrastive forward.
-contrastive_forward_fusion = _FUSION.pinned
+__all__ = ["TrainResult", "train_encoder"]
 
 
 def _contrastive_representations(
@@ -52,9 +40,15 @@ def _contrastive_representations(
     augmented_features: dict[str, np.ndarray],
     size: int,
 ):
-    """Encode originals and augmented variants, fused when enabled."""
-    if not _FUSION.value:
-        return encoder(original_features), encoder(augmented_features)
+    """Encode originals and augmented variants in one forward pass.
+
+    The contrastive loss needs representations of both batches; one
+    ``[originals; augmented]`` forward halves the graph.  Every encoder
+    op is row-independent, so this equals two separate passes — bitwise
+    up to BLAS blocking, which may round the last ulp differently for
+    the doubled row count (pinned against a two-pass run by
+    ``tests/core/test_trainer.py::TestContrastiveForwardFusion``).
+    """
     fused = encoder(
         {
             d: np.concatenate([a, augmented_features[d]])

@@ -114,8 +114,8 @@ def snap_argmax(values: np.ndarray) -> int:
     in real arithmetic — and each kernel mode's distinct rounding would
     then pick a different winner under a plain ``argmax``.  Snapping the
     selection makes every mode (the reference oracle included) return
-    the same discord index, which is the equivalence contract the tests
-    and benchmark gate assert.
+    the same discord index, which is the equivalence contract
+    ``tests/discord/test_kernel_properties.py`` asserts.
     """
     values = np.asarray(values)
     best = values.max()

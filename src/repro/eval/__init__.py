@@ -1,6 +1,6 @@
 """Evaluation harness: archive runner, table rendering, experiment registry."""
 
-from .experiments import BENCH_SEEDS, EXPERIMENTS, Experiment, bench_archive, bench_config
+from .experiments import EXPERIMENTS, Experiment, bench_archive, bench_config
 from .persistence import SweepCheckpoint, load_results, per_type_breakdown, save_results
 from .reporting import build_report, render_failure_summary, write_report
 from .runner import (
@@ -19,7 +19,6 @@ from .tables import render_table
 from .tuning import GridSearchResult, SweepPoint, grid_search, tri_window_accuracy
 
 __all__ = [
-    "BENCH_SEEDS",
     "EXPERIMENTS",
     "Experiment",
     "bench_archive",

@@ -2,7 +2,7 @@
 
 Maps each experiment id to its description and the benchmark module
 that regenerates it, and centralizes the scaled-down default settings
-the benches share (archive size, epochs, seeds) so results across
+the benches share (archive size, epochs) so results across
 benches are comparable.  The paper runs 250 datasets x 5 seeds x 20
 epochs on a GPU; the defaults here are sized for a CPU-only run while
 preserving every qualitative shape (see EXPERIMENTS.md).
@@ -16,9 +16,7 @@ from ..core.config import TriADConfig
 from ..data.archive import make_archive
 from ..data.spec import Dataset
 
-__all__ = ["Experiment", "EXPERIMENTS", "bench_archive", "bench_config", "BENCH_SEEDS"]
-
-BENCH_SEEDS = (0, 1)
+__all__ = ["Experiment", "EXPERIMENTS", "bench_archive", "bench_config"]
 
 
 @dataclass(frozen=True)

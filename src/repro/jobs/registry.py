@@ -150,8 +150,8 @@ class BatchedSpectralResidualScorer(WindowScorer):
 
     Every operation is row-independent, so scoring windows in chunks of
     any size is bit-identical to scoring them all at once — the
-    property the chunked executor's stitching guarantee rests on, and
-    the scorer the ``BENCH_jobs.json`` gate runs.
+    property the chunked executor's stitching guarantee rests on
+    (``tests/jobs/test_manager.py::test_job_result_equals_single_batched_pass``).
     """
 
     name = "spectral-residual-batched"

@@ -31,9 +31,6 @@ from .optim import (
     Optimizer,
     RMSProp,
     clip_grad_norm,
-    fused_enabled,
-    fused_optimizers,
-    set_fused_optimizers,
 )
 from .pooling import AvgPool1d, GlobalAvgPool1d, GlobalMaxPool1d, MaxPool1d
 from .rnn import LSTM, LSTMCell
@@ -73,9 +70,6 @@ __all__ = [
     "AdamW",
     "RMSProp",
     "clip_grad_norm",
-    "fused_optimizers",
-    "fused_enabled",
-    "set_fused_optimizers",
     "conv1d_mode",
     "get_conv1d_mode",
     "set_conv1d_mode",

@@ -22,7 +22,8 @@ docs/PERF.md):
   cost loses to ``O(log n)`` transforms (wide kernels, extreme
   dilations).
 - **reference** — the original per-tap ``np.stack`` + einsum gather,
-  kept as the equivalence oracle for tests and ``BENCH_nn.json``.
+  kept as the equivalence oracle (``tests/nn/test_conv_fastpath.py``,
+  ``tests/nn/test_residual_block.py``).
 
 :func:`set_conv1d_mode` / :func:`conv1d_mode` switch between them; the
 default ``"auto"`` picks gemm unless the FFT heuristic fires.  Each
@@ -536,8 +537,11 @@ def _reference_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The original per-tap gather implementation (equivalence oracle).
 
-    Kept so tests and ``scripts/bench_nn.py`` can pin the fast paths
-    against the exact pre-optimization semantics.
+    Every fast path must match it in forward values and in the
+    gradients it routes to ``x``, ``weight`` and ``bias``
+    (``tests/nn/test_conv_fastpath.py``), and whole training runs on it
+    must match the fast stack's losses to 1e-9
+    (``tests/core/test_trainer.py::TestReferenceStack``).
     """
     dilation, stride, full_length = plan.dilation, plan.stride, plan.full_length
     # Gather the K dilated taps as strided views: (B, C_in, K, L_out).

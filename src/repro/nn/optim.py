@@ -1,19 +1,14 @@
 """Gradient-descent optimizers: SGD (with momentum), Adam, AdamW, RMSProp.
 
-Every optimizer ships two step implementations behind the one
-``Optimizer.step()`` contract:
-
-- **fused** (default) — a single in-place pass per parameter over
-  preallocated moment and scratch buffers.  No per-step temporaries
-  (``grad + wd * param``, ``m / bias1``, ``grad ** 2`` …) are
-  allocated, which matters when the step runs once per contrastive
-  batch inside the trainer's hot loop.  The fused sequence performs the
-  *same floating-point operations in the same order* as the reference,
-  so updates are bit-identical (pinned by ``tests/nn/test_optim_fused``
-  and the ``BENCH_nn.json`` gate).
-- **reference** — the original allocation-per-step implementation, kept
-  verbatim as the equivalence oracle; selected via
-  :func:`set_fused_optimizers` / :func:`fused_optimizers`.
+Each ``step()`` is a single in-place pass per parameter over
+preallocated moment and scratch buffers.  No per-step temporaries
+(``grad + wd * param``, ``m / bias1``, ``grad ** 2`` …) are allocated,
+which matters when the step runs once per contrastive batch inside the
+trainer's hot loop.  The in-place sequence performs the *same
+floating-point operations in the same order* as the textbook update
+rules, so trajectories are bit-identical to them
+(``tests/nn/test_optim_fused.py`` keeps those rules as the oracle and
+compares with ``np.array_equal``).
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 from .module import Parameter
-from .switch import Switch
 
 __all__ = [
     "Optimizer",
@@ -32,17 +26,7 @@ __all__ = [
     "AdamW",
     "RMSProp",
     "clip_grad_norm",
-    "fused_optimizers",
-    "fused_enabled",
-    "set_fused_optimizers",
 ]
-
-# ``set_fused_optimizers`` returns the previous value,
-# ``fused_optimizers`` pins one for a ``with`` block.
-_FUSED = Switch("fused optimizers", True)
-set_fused_optimizers = _FUSED.set
-fused_enabled = _FUSED.get
-fused_optimizers = _FUSED.pinned
 
 
 class Optimizer:
@@ -79,8 +63,6 @@ class SGD(Optimizer):
         self._scratch: list[np.ndarray] | None = None
 
     def step(self) -> None:
-        if not _FUSED.value:
-            return self._step_reference()
         if self._scratch is None:
             self._scratch = [np.empty_like(p.data) for p in self.parameters]
         for param, velocity, scratch in zip(
@@ -99,19 +81,6 @@ class SGD(Optimizer):
                 grad = velocity
             np.multiply(grad, self.lr, out=scratch)
             np.subtract(param.data, scratch, out=param.data)
-
-    def _step_reference(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -144,8 +113,6 @@ class Adam(Optimizer):
         return self._scratch
 
     def step(self) -> None:
-        if not _FUSED.value:
-            return self._step_reference()
         scratch = self._ensure_scratch()
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
@@ -167,8 +134,8 @@ class Adam(Optimizer):
             np.multiply(s1, 1.0 - self.beta2, out=s1)
             np.multiply(v, self.beta2, out=v)
             np.add(v, s1, out=v)
-            # param -= (lr * m_hat) / (sqrt(v_hat) + eps), rounded exactly
-            # like the reference expression.
+            # param -= lr * m_hat / (sqrt(v_hat) + eps), rounded in the same
+            # order as that expression (the test oracle evaluates it as is).
             np.divide(m, bias1, out=s1)
             np.multiply(s1, self.lr, out=s1)
             np.divide(v, bias2, out=s2)
@@ -176,24 +143,6 @@ class Adam(Optimizer):
             np.add(s2, self.eps, out=s2)
             np.divide(s1, s2, out=s1)
             np.subtract(param.data, s1, out=param.data)
-
-    def _step_reference(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class AdamW(Adam):
@@ -216,14 +165,6 @@ class AdamW(Adam):
         self.decoupled_weight_decay = weight_decay
 
     def step(self) -> None:
-        if not _FUSED.value:
-            if self.decoupled_weight_decay:
-                for param in self.parameters:
-                    if param.grad is not None:
-                        param.data -= (
-                            self.lr * self.decoupled_weight_decay * param.data
-                        )
-            return super().step()
         if self.decoupled_weight_decay:
             decay = self.lr * self.decoupled_weight_decay
             for param, (s1, _) in zip(self.parameters, self._ensure_scratch()):
@@ -251,8 +192,6 @@ class RMSProp(Optimizer):
         self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def step(self) -> None:
-        if not _FUSED.value:
-            return self._step_reference()
         if self._scratch is None:
             self._scratch = [
                 (np.empty_like(p.data), np.empty_like(p.data))
@@ -273,14 +212,6 @@ class RMSProp(Optimizer):
             np.add(s1, self.eps, out=s1)
             np.divide(s2, s1, out=s2)
             np.subtract(param.data, s2, out=param.data)
-
-    def _step_reference(self) -> None:
-        for param, square_avg in zip(self.parameters, self._square_avg):
-            if param.grad is None:
-                continue
-            square_avg *= self.alpha
-            square_avg += (1.0 - self.alpha) * param.grad**2
-            param.data -= self.lr * param.grad / (np.sqrt(square_avg) + self.eps)
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

@@ -1,11 +1,10 @@
 """Process-wide implementation switches.
 
-A few hot paths ship a fast implementation next to the reference one
-that tests and benchmarks compare it against (``conv1d`` modes, fused
-optimizer steps, the fused contrastive forward, discord kernel modes).
-Each selection is one :class:`Switch`: ``set`` returns the previous
-value, ``get`` reads it, and ``pinned`` holds a value for a ``with``
-block.  It lives in :mod:`repro.nn` because ``nn`` is an import leaf
+Two hot paths ship fast implementations next to the reference one
+that tests compare them against (``conv1d`` modes, discord kernel
+modes).  Each selection is one :class:`Switch`: ``set`` returns the
+previous value, ``get`` reads it, and ``pinned`` holds a value for a
+``with`` block.  It lives in :mod:`repro.nn` because ``nn`` is an import leaf
 that every layer can reach.
 """
 
@@ -17,22 +16,17 @@ __all__ = ["Switch"]
 
 
 class Switch:
-    """One named process-wide setting.
+    """One named process-wide mode; the value must be one of ``choices``
+    (anything else raises ``ValueError``)."""
 
-    With ``choices`` the value must be one of them (anything else raises
-    ``ValueError``); without, values are coerced to ``bool``.
-    """
-
-    def __init__(self, name: str, default, choices: tuple | None = None) -> None:
+    def __init__(self, name: str, default, choices: tuple) -> None:
         self.name = name
         self.choices = choices
         self.value = default
 
     def set(self, value):
         """Select ``value``; returns the previous one."""
-        if self.choices is None:
-            value = bool(value)
-        elif value not in self.choices:
+        if value not in self.choices:
             raise ValueError(
                 f"unknown {self.name} mode {value!r}; choose from {self.choices}"
             )

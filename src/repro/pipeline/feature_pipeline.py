@@ -55,9 +55,9 @@ class FeaturePipeline:
     """Memoized window→feature pipeline over a :class:`FeatureCache`.
 
     ``memoize=False`` disables lookups/stores while keeping the exact
-    same code path — the knob the cache-correctness tests and the
-    ``bench_pipeline`` gate flip to prove cached and uncached outputs
-    are bit-identical.
+    same code path — the knob the cache-correctness tests flip to prove
+    cached and uncached outputs are bit-identical
+    (``tests/pipeline/test_feature_pipeline.py``).
     """
 
     def __init__(

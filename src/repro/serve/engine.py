@@ -5,7 +5,8 @@ stream.StreamState` emits a window every ``stride`` points, and the
 engine queues those windows and scores them in *micro-batches across
 streams*: one batched encoder forward pass covers windows from many
 streams at once, which is where the throughput over per-stream
-sequential scoring comes from (see ``BENCH_serve.json``).
+sequential scoring comes from (measured end to end by the
+``serve_stream`` workload of ``python3 bench/run.py``).
 
 Overload handling is two-layered:
 

@@ -149,8 +149,8 @@ class WorkerSpec:
     ``engine`` holds :class:`~repro.serve.engine.EngineConfig` overrides
     (``max_batch``, ``score_baseline``, ...).  ``record_scores`` makes
     workers return every (stream, index, score) triple alongside alerts
-    — the bit-identity drills and benches compare those against an
-    unsharded :class:`RecordingEngine`.
+    — the bit-identity drills (``tests/serve/test_shard_chaos.py``)
+    compare those against an unsharded :class:`RecordingEngine`.
     """
 
     detector: str = "spectral-residual"

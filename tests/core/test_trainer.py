@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TriADConfig, train_encoder
-from repro.core.trainer import contrastive_forward_fusion
+from repro import nn
+from repro.core import TriADConfig, train_encoder, trainer
+
+from ..nn.test_optim_fused import REFERENCE
 
 
 @pytest.fixture
@@ -57,16 +59,21 @@ class TestTrainEncoder:
         assert np.isfinite(result.train_losses[-1])
 
 
+def _two_pass(encoder, original, augmented, size):
+    return encoder(original), encoder(augmented)
+
+
 class TestContrastiveForwardFusion:
-    def test_fused_forward_matches_two_pass(self, noisy_wave, fast_config):
+    def test_fused_forward_matches_two_pass(
+        self, noisy_wave, fast_config, monkeypatch
+    ):
         """The concatenated [originals; augmented] pass must reproduce the
         two-pass losses: every encoder op is batch-row independent, so
         the only tolerated difference is BLAS rounding the last ulp
         differently for the doubled row count."""
-        with contrastive_forward_fusion(True):
-            fused = train_encoder(noisy_wave, fast_config)
-        with contrastive_forward_fusion(False):
-            two_pass = train_encoder(noisy_wave, fast_config)
+        fused = train_encoder(noisy_wave, fast_config)
+        monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)
+        two_pass = train_encoder(noisy_wave, fast_config)
         assert np.allclose(fused.train_losses, two_pass.train_losses, rtol=1e-12)
         assert np.allclose(fused.val_losses, two_pass.val_losses, rtol=1e-12)
         for (name_a, p_a), (name_b, p_b) in zip(
@@ -74,3 +81,22 @@ class TestContrastiveForwardFusion:
         ):
             assert name_a == name_b
             assert np.allclose(p_a.data, p_b.data, rtol=1e-10, atol=1e-12)
+
+
+class TestReferenceStack:
+    @pytest.mark.parametrize("kernel_size", [3, 48])
+    def test_losses_match_reference_stack(
+        self, noisy_wave, fast_config, monkeypatch, kernel_size
+    ):
+        """Training on the fast stack reproduces training on the slowest
+        one — reference conv kernels, textbook Adam, two-pass contrastive
+        forward — to 1e-9 per epoch loss.  K=48 routes the fast stack's
+        convs through FFT."""
+        config = fast_config.with_overrides(kernel_size=kernel_size, epochs=2)
+        fast = train_encoder(noisy_wave, config)
+        monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)
+        monkeypatch.setattr(nn.Adam, "step", REFERENCE[nn.Adam])
+        with nn.conv1d_mode("reference"):
+            reference = train_encoder(noisy_wave, config)
+        assert np.allclose(fast.train_losses, reference.train_losses, rtol=0, atol=1e-9)
+        assert np.allclose(fast.val_losses, reference.val_losses, rtol=0, atol=1e-9)

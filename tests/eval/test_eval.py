@@ -7,7 +7,6 @@ import pytest
 
 from repro.data import make_archive
 from repro.eval import (
-    BENCH_SEEDS,
     EXPERIMENTS,
     METRIC_NAMES,
     bench_archive,
@@ -125,6 +124,3 @@ class TestExperimentRegistry:
         config = bench_config(alpha=0.5)
         assert config.alpha == 0.5
         assert config.epochs == 5
-
-    def test_bench_seeds(self):
-        assert len(BENCH_SEEDS) >= 2

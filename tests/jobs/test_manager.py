@@ -15,8 +15,11 @@ from repro.jobs import (
     job_detectors,
     register_job_detector,
 )
+from repro.jobs.registry import BatchedSpectralResidualScorer
 from repro.pipeline.contracts import WindowScorer
+from repro.pipeline.scores import spread_window_scores
 from repro.runtime import RetryPolicy
+from repro.signal.windows import sliding_windows
 
 
 class MeanScorer(WindowScorer):
@@ -144,6 +147,27 @@ def test_cancel_while_running_then_resume(tmp_path, series):
         manager.result(record.job_id),
         JobManager(tmp_path / "ref").result(reference.job_id),
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_job_result_equals_single_batched_pass(tmp_path, workers):
+    """The whole fabric — submit, chunk, fork pool, journal, npz
+    artifacts, stitch — returns exactly the scores of one batched pass
+    over every window."""
+    rng = np.random.default_rng(11)
+    series = np.sin(np.arange(3000) / 9.0) + 0.05 * rng.standard_normal(3000)
+    series[1200:1210] += 4.0
+    spec = JobSpec(detector="spectral-residual", chunk_windows=16)
+    manager = JobManager(tmp_path / "store", workers=workers)
+    record = manager.submit_and_run(spec, series)
+    assert record.state == SUCCEEDED
+    assert record.chunks_total > workers
+
+    length, stride = record.spec.window_length, record.spec.stride
+    windows, starts = sliding_windows(series, length, stride)
+    single = BatchedSpectralResidualScorer().score_windows(windows, ())
+    reference = spread_window_scores(single, starts, length, len(series))
+    assert np.array_equal(manager.result(record.job_id), reference)
 
 
 def test_failed_job_records_error_and_can_rerun(tmp_path, series):

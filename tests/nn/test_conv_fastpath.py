@@ -4,7 +4,7 @@ The reference implementation (per-tap ``np.stack`` + einsum) is the
 oracle: every fast path — per-tap GEMM, im2col pack, FFT — must agree
 with it in forward values and in the gradients it routes to ``x``,
 ``weight`` and ``bias``, across the full padding × stride × dilation
-grid.  ``BENCH_nn.json`` leans on exactly this equivalence.
+grid.
 """
 
 from __future__ import annotations

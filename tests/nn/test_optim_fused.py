@@ -1,10 +1,10 @@
-"""Bit-identity tests for the fused optimizer fast paths.
+"""Bit-identity tests for the in-place optimizer steps.
 
-The fused ``step()`` implementations replay the reference update rules
-with in-place ufuncs over preallocated scratch — same operations, same
-rounding order — so trajectories must be *bit-identical* to the
-allocation-per-step reference, not merely close.  ``np.array_equal``
-(no tolerance) is the whole point of these tests.
+Each ``step()`` replays the textbook update rule with in-place ufuncs
+over preallocated scratch — same operations, same rounding order — so
+trajectories must be *bit-identical* to the allocation-per-step rules
+below, not merely close.  ``np.array_equal`` (no tolerance) is the
+whole point of these tests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,68 @@ import pytest
 
 from repro import nn
 from repro.nn import Parameter
-from repro.nn.optim import fused_enabled, fused_optimizers, set_fused_optimizers
+
+
+# Reference update rules: the oracle each in-place ``step()`` must match.
+# They read and advance the optimizer's own state (moments, step count).
+
+
+def _sgd_reference(opt: nn.SGD) -> None:
+    for param, velocity in zip(opt.parameters, opt._velocity):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        if opt.weight_decay:
+            grad = grad + opt.weight_decay * param.data
+        if opt.momentum:
+            velocity *= opt.momentum
+            velocity += grad
+            grad = velocity
+        param.data -= opt.lr * grad
+
+
+def _adam_reference(opt: nn.Adam) -> None:
+    opt._step_count += 1
+    bias1 = 1.0 - opt.beta1**opt._step_count
+    bias2 = 1.0 - opt.beta2**opt._step_count
+    for param, m, v in zip(opt.parameters, opt._m, opt._v):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        if opt.weight_decay:
+            grad = grad + opt.weight_decay * param.data
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * grad
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * grad**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def _adamw_reference(opt: nn.AdamW) -> None:
+    if opt.decoupled_weight_decay:
+        for param in opt.parameters:
+            if param.grad is not None:
+                param.data -= opt.lr * opt.decoupled_weight_decay * param.data
+    _adam_reference(opt)
+
+
+def _rmsprop_reference(opt: nn.RMSProp) -> None:
+    for param, square_avg in zip(opt.parameters, opt._square_avg):
+        if param.grad is None:
+            continue
+        square_avg *= opt.alpha
+        square_avg += (1.0 - opt.alpha) * param.grad**2
+        param.data -= opt.lr * param.grad / (np.sqrt(square_avg) + opt.eps)
+
+
+REFERENCE = {
+    nn.SGD: _sgd_reference,
+    nn.Adam: _adam_reference,
+    nn.AdamW: _adamw_reference,
+    nn.RMSProp: _rmsprop_reference,
+}
 
 FACTORIES = {
     "sgd": lambda params: nn.SGD(params, lr=0.05),
@@ -39,13 +100,13 @@ def _trajectory(factory, fused: bool, steps: int = 50) -> list[np.ndarray]:
     ]
     optimizer = factory(params)
     grad_rng = np.random.default_rng(7)
+    step = optimizer.step if fused else lambda: REFERENCE[type(optimizer)](optimizer)
     snapshots = []
-    with fused_optimizers(fused):
-        for _ in range(steps):
-            for p in params:
-                p.grad = grad_rng.normal(size=p.shape)
-            optimizer.step()
-            snapshots.append([p.data.copy() for p in params])
+    for _ in range(steps):
+        for p in params:
+            p.grad = grad_rng.normal(size=p.shape)
+        step()
+        snapshots.append([p.data.copy() for p in params])
     return snapshots
 
 
@@ -69,28 +130,3 @@ class TestBitIdentity:
         assert np.array_equal(q.data, np.ones(3))
         assert not np.array_equal(p.data, np.ones(3))
 
-
-class TestToggle:
-    def test_default_is_fused(self):
-        assert fused_enabled()
-
-    def test_set_returns_previous(self):
-        assert set_fused_optimizers(False) is True
-        try:
-            assert fused_enabled() is False
-            assert set_fused_optimizers(True) is False
-        finally:
-            set_fused_optimizers(True)
-
-    def test_context_manager_restores(self):
-        with fused_optimizers(False):
-            assert not fused_enabled()
-            with fused_optimizers(True):
-                assert fused_enabled()
-            assert not fused_enabled()
-        assert fused_enabled()
-
-    def test_exports_on_nn_namespace(self):
-        assert nn.fused_enabled is fused_enabled
-        assert nn.fused_optimizers is fused_optimizers
-        assert nn.set_fused_optimizers is set_fused_optimizers

@@ -211,6 +211,7 @@ def make_adaptive(
     config=None,
     monitor=None,
     rng=None,
+    clock=None,
     **engine_overrides,
 ):
     """A small engine + controller on a moment-shift primary."""
@@ -230,7 +231,7 @@ def make_adaptive(
         score_baseline=4096,
         **engine_overrides,
     )
-    controller = AdaptiveController(engine, trainer, config=config)
+    controller = AdaptiveController(engine, trainer, config=config, clock=clock)
     return controller, engine, registry, train
 
 
@@ -271,6 +272,34 @@ class TestControllerGuardrails:
         # A failed retrain never takes down serving.
         assert engine.stats.windows_scored > 0
         assert engine.registry.describe()[0]["tripped"] is False
+
+    def test_retrain_over_run_budget_is_never_promoted(self, rng):
+        now = [0.0]
+
+        def slow(history, seed):
+            now[0] += 5.0  # every retrain takes 5s of a 1s RunBudget
+            return MomentShiftScorer(history)
+
+        config = AdaptConfig(
+            history_points=64,
+            min_history=8,
+            settle_points=0,
+            cooldown_points=16,
+            max_retries=0,
+            budget_seconds=1.0,
+        )
+        controller, engine, registry, train = make_adaptive(
+            slow, config=config, rng=rng, clock=lambda: now[0]
+        )
+        feed = np.concatenate([train[:128], rng.normal(size=600) * 0.2 + 5.0])
+        for value in feed:
+            controller.ingest("s", float(value))
+        controller.drain()
+
+        assert controller.decisions, "drift never triggered a retrain"
+        assert all(d.action == "failed" for d in controller.decisions)
+        assert all("wall budget" in d.reason for d in controller.decisions)
+        assert registry.active_version("moment-shift") == 1
 
     def test_settle_delays_retrain_until_history_renews(self, rng):
         promoted_at = []
@@ -446,6 +475,8 @@ class TestChaosDrill:
         assert registry.active_version("moment-shift") == 2
         assert promotions[0].candidate == "moment-shift@v2"
         assert promotions[0].shadow is not None
+        # Time to recovery (retrain + shadow + swap) fits the RunBudget.
+        assert 0.0 < promotions[0].elapsed_s < controller.config.budget_seconds
 
         # Recovery: post-promotion precision within 10% of the
         # pre-shift baseline (both 1.0 here), with zero operator input.
