@@ -34,9 +34,9 @@ guards training through ``runtime``, so both sit *below* it here.  The
 lint encodes the dependency reality and keeps it a DAG.
 
 Within ``repro.serve`` a second, finer map (``SERVE_SUBLAYERS``) keeps
-the serving subsystem itself a DAG now that the shard fabric sits
-between the engine and the adaptive controller (which offloads
-retrains through it):
+the serving subsystem itself a DAG: the engine at the centre, the
+shard fabric and the adaptive controller each built on it, and the
+supervisor and replay harness driving them:
 
     0  stream            (ring buffers, per-stream window state)
     1  stores            (pluggable stream-state store backends)

@@ -4,7 +4,7 @@ The serving engine (:mod:`repro.serve`) answers "score this window
 now"; this package answers "score these 10 million points overnight".
 A job is submitted once (``PENDING``), survives process death through
 JSONL journals (:class:`JobStore`), executes as overlapping
-window-preserving chunks on a fork worker pool
+window-preserving chunks on fork workers
 (:class:`ChunkedExecutor`), and stitches per-chunk window scores back
 into one contiguous point-score array bit-identical to a single pass.
 Lifecycle::

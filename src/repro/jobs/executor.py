@@ -1,12 +1,13 @@
-"""Chunked execution with journaling, worker pools, and failure isolation.
+"""Chunked execution with journaling, fork workers, and failure isolation.
 
 Two layers:
 
 * :func:`parallel_map` — the generic fabric: run ``task(payload)`` over
-  a list of payloads on a ``multiprocessing`` fork pool (workers
-  inherit the parent's context; nothing heavyweight crosses the pipe),
-  delivering results to the parent as they complete.  Serial fallback
-  when ``workers <= 1`` or fork is unavailable.  Both the bulk-scoring
+  a list of payloads on :class:`~repro.runtime.workers.ForkWorker`
+  processes (workers inherit the task and payloads through fork; only
+  indices and results cross the pipe), delivering results to the
+  parent as they complete.  Serial fallback when ``workers <= 1`` or
+  fork is unavailable.  Both the bulk-scoring
   executor below and the archive sweep job
   (:mod:`repro.jobs.sweep`) run on this.
 * :class:`ChunkedExecutor` — bulk scoring: executes the missing chunks
@@ -16,23 +17,27 @@ Two layers:
   cancellation between chunks, and isolates per-chunk failures under a
   :class:`~repro.runtime.RetryPolicy` / :class:`~repro.runtime.RunBudget`.
 
-Worker-pool failures are not fatal by themselves: a chunk that raises
-in a worker is retried *serially* in the parent under the retry policy,
-so one poisoned chunk degrades to an attributed
-:class:`ChunkFailedError` instead of a dead pool.
+Worker failures are not fatal by themselves: a chunk that raises in a
+worker, or whose worker dies (SIGKILL, OOM), comes back as an
+``errors`` entry and is retried *serially* in the parent under the
+retry policy, so one poisoned chunk degrades to an attributed
+:class:`ChunkFailedError` instead of a hung or dead run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..runtime import RetryPolicy, RunBudget
+from ..runtime.workers import ForkWorker, WorkerDied, fork_available
 from .chunking import Chunk, chunk_windows_view
 from .store import JobStore
 
@@ -56,32 +61,21 @@ class ChunkFailedError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Generic fork-pool fabric
+# Generic fork-worker fabric
 # ----------------------------------------------------------------------
 
-# Context the forked workers inherit.  Set immediately before the pool
-# is created and cleared after; fork shares the parent's address space
-# at creation time, so arbitrary (even unpicklable) objects ride along
-# without serialization.
-_WORKER_CONTEXT: dict | None = None
 
-
-def _pool_task(args):
-    """Runs inside a worker: dispatch to the inherited task callable.
+def _map_worker(conn, task: Callable, payloads: Sequence) -> None:
+    """Worker loop: reply ``(index, result, error)`` per index until ``None``.
 
     Exceptions are returned, not raised — the parent decides whether to
     retry (serially, under its policy) or fail the run.
     """
-    index, payload = args
-    task = _WORKER_CONTEXT["task"]
-    try:
-        return index, task(payload), None
-    except BaseException as error:  # noqa: BLE001 - marshalled to the parent
-        return index, None, f"{type(error).__name__}: {error}"
-
-
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+    while (index := conn.recv()) is not None:
+        try:
+            conn.send((index, task(payloads[index]), None))
+        except Exception as error:  # noqa: BLE001 - marshalled to the parent
+            conn.send((index, None, f"{type(error).__name__}: {error}"))
 
 
 def parallel_map(
@@ -94,14 +88,15 @@ def parallel_map(
     """Run ``task(payload)`` for every payload, streaming results.
 
     ``on_result(index, result)`` fires in the parent as each payload
-    completes (order is arrival order in pool mode).  Returns
-    ``(remaining, errors)``: payload indices never attempted because
-    ``should_stop`` fired, and per-index error strings for payloads
-    whose task raised (pool mode returns them for the parent to retry;
-    serial mode raises through instead, letting the caller's retry
-    policy see the live exception).
+    completes (arrival order with workers).  Workers inherit ``task``
+    and ``payloads`` through fork; only indices and results cross the
+    pipe.  Returns ``(remaining, errors)``: payload indices never
+    finished because ``should_stop`` fired, and per-index error strings
+    for payloads whose task raised in a worker or whose worker died
+    (``"WorkerDied: exit code -9"``; the worker is respawned), for the
+    parent to retry.  Serial mode raises through instead, letting the
+    caller's retry policy see the live exception.
     """
-    indexed = list(enumerate(payloads))
     errors: dict[int, str] = {}
     if workers > 1 and not fork_available():  # pragma: no cover - non-POSIX
         warnings.warn(
@@ -112,31 +107,51 @@ def parallel_map(
         workers = 1
 
     if workers <= 1:
-        for position, (index, payload) in enumerate(indexed):
+        for index, payload in enumerate(payloads):
             if should_stop is not None and should_stop():
-                return [i for i, _ in indexed[position:]], errors
+                return list(range(index, len(payloads))), errors
             on_result(index, task(payload))
         return [], errors
 
-    global _WORKER_CONTEXT
-    context = multiprocessing.get_context("fork")
-    _WORKER_CONTEXT = {"task": task}
+    queue = deque(range(len(payloads)))
+    busy: dict = {}  # conn -> (worker, in-flight index)
+    spawned: list[ForkWorker] = []
+
+    def dispatch(worker: ForkWorker | None) -> None:
+        """Hand ``worker`` (a fresh fork if ``None``) the next index."""
+        if not queue:
+            return
+        if worker is None:
+            worker = ForkWorker(_map_worker, task, payloads)
+            spawned.append(worker)
+        busy[worker.conn] = (worker, queue[0])
+        with suppress(WorkerDied):  # a death surfaces on the next recv
+            worker.send(queue.popleft())
+
     try:
-        with context.Pool(processes=workers) as pool:
-            pending = {i for i, _ in indexed}
-            results = pool.imap_unordered(_pool_task, indexed, chunksize=1)
-            for index, result, error in results:
-                pending.discard(index)
+        for _ in range(min(workers, len(payloads))):
+            dispatch(None)
+        while busy:
+            for conn in wait(list(busy)):
+                worker, index = busy.pop(conn)
+                try:
+                    _, result, error = worker.recv()
+                except WorkerDied as died:
+                    error, worker = f"WorkerDied: {died}", None
+                dispatch(worker)  # the worker computes while on_result runs
                 if error is not None:
                     errors[index] = error
                 else:
                     on_result(index, result)
                 if should_stop is not None and should_stop():
-                    pool.terminate()
-                    return sorted(pending), errors
+                    in_flight = [i for _, i in busy.values()]
+                    return sorted([*queue, *in_flight]), errors
         return [], errors
     finally:
-        _WORKER_CONTEXT = None
+        for worker in spawned:
+            with suppress(WorkerDied):
+                worker.send(None)
+            worker.close(grace=0.1)  # a worker still mid-task is terminated
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +212,7 @@ class ChunkedExecutor:
     Parameters
     ----------
     workers:
-        Fork-pool width; ``1`` runs serially in-process.
+        Fork-worker count; ``1`` runs serially in-process.
     policy:
         Per-chunk :class:`~repro.runtime.RetryPolicy`.  ``None`` means
         one attempt, crash-through (the manager records the failure).
@@ -328,8 +343,9 @@ class ChunkedExecutor:
             )
             if cancelled():
                 return CANCELLED_OUTCOME
-            # Pool-side failures retry serially under the policy so the
-            # exception type (not a marshalled string) drives retry_on.
+            # Worker-side failures (raised or died) retry serially under
+            # the policy so the exception type (not a marshalled string)
+            # drives retry_on.
             for position in sorted(errors):
                 chunk = pending[position]
                 obs.incr("jobs.chunks.pool_failures")

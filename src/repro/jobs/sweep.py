@@ -3,11 +3,11 @@
 :func:`run_archive_job` evaluates the same (dataset, seed) units as
 :func:`repro.eval.run_on_archive` — literally the same unit code, via
 :func:`repro.eval.execute_unit` — but schedules them over the job
-fabric's fork pool (:func:`repro.jobs.executor.parallel_map`) and
+fabric's fork workers (:func:`repro.jobs.executor.parallel_map`) and
 journals every completed unit into the *same*
 :class:`repro.eval.persistence.SweepCheckpoint` format the sequential
 runner reads.  Offline eval and bulk scoring therefore share one
-execution fabric: one pool, one journal idiom, one resume story, and a
+execution fabric: one worker set, one journal idiom, one resume story, and a
 sweep started with ``--workers 4`` can be killed and resumed by the
 sequential runner (or vice versa).
 
@@ -57,8 +57,8 @@ def run_archive_job(
 
     Worker processes inherit ``factory`` and ``datasets`` by fork, so
     neither needs to be picklable.  A unit that raises inside a worker
-    is retried serially in the parent (under ``policy`` when given), so
-    pool failures degrade to attributed :class:`FailureReport` entries,
+    or whose worker dies is retried serially in the parent (under
+    ``policy`` when given), so worker failures degrade to attributed :class:`FailureReport` entries,
     never a dead sweep.
     """
     seeds = list(seeds)

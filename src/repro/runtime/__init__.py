@@ -2,9 +2,11 @@
 
 Resilience primitives for archive-scale sweeps and training runs:
 retry/budget policies (:mod:`.policy`), structured failure records
-(:mod:`.failures`), training divergence guards (:mod:`.guards`), and a
+(:mod:`.failures`), training divergence guards (:mod:`.guards`), a
 deterministic fault-injection harness (:mod:`.chaos`) that proves every
-degradation path under test.  See ``docs/RESILIENCE.md``.
+degradation path under test, the one append-only journal
+(:mod:`.journal`) and the one fork-worker primitive (:mod:`.workers`).
+See ``docs/RESILIENCE.md``.
 """
 
 from .chaos import (

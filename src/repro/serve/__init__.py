@@ -67,7 +67,6 @@ from .shard import (
     WorkerDiedError,
     WorkerSpec,
     build_worker_engine,
-    subprocess_trainer,
 )
 from .stores import (
     FileBackedStore,
@@ -87,7 +86,6 @@ __all__ = [
     "WorkerDiedError",
     "WorkerSpec",
     "build_worker_engine",
-    "subprocess_trainer",
     "StoreProvider",
     "StreamSnapshot",
     "InMemoryStore",

@@ -436,12 +436,6 @@ class AdaptConfig:
         Post-promotion watch: if more than ``probation_alert_cap`` of
         the stream's scored windows alert within ``probation_points``
         points, the promotion is rolled back.
-    offload_retrains:
-        Run each retrain attempt in a forked child process via
-        :func:`repro.serve.shard.subprocess_trainer`, keeping the
-        training loop off the ingest path (the shard fabric's workers
-        never stall).  Falls back to inline training when the fitted
-        scorer cannot cross the process boundary.
     seed:
         Base seed handed to the trainer factory (reseeded per attempt).
     """
@@ -459,7 +453,6 @@ class AdaptConfig:
     alert_sigma: float = 3.0
     probation_points: int = 512
     probation_alert_cap: float = 0.5
-    offload_retrains: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -537,12 +530,6 @@ class AdaptiveController:
         self.engine = engine
         self.registry = engine.registry
         self.config = config or AdaptConfig()
-        if self.config.offload_retrains:
-            from .shard import subprocess_trainer
-
-            trainer_factory = subprocess_trainer(
-                trainer_factory, timeout_s=self.config.budget_seconds
-            )
         self.trainer_factory = trainer_factory
         self.label_oracle = label_oracle
         self.journal = AdaptationJournal(journal_path)

@@ -2,7 +2,7 @@
 
 A single :class:`~repro.serve.engine.ScoringEngine` caps out at one
 core.  This module splits the stream population across N worker
-processes (stdlib ``multiprocessing``, fork start method), each running
+processes (:class:`repro.runtime.workers.ForkWorker`), each running
 its own engine over the streams a consistent hash assigns it, with all
 per-stream state externalized through a
 :class:`~repro.serve.stores.StoreProvider` so workers are stateless and
@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
+from ..runtime.workers import ForkWorker, WorkerDied
 from .engine import EngineConfig, ScoringEngine, StreamAlert
 from .stores import InMemoryStore, StoreProvider, StreamSnapshot
 
@@ -61,7 +60,6 @@ __all__ = [
     "RecordingEngine",
     "ShardRouter",
     "build_worker_engine",
-    "subprocess_trainer",
 ]
 
 
@@ -309,18 +307,6 @@ class WorkerDiedError(RuntimeError):
         self.worker = worker
 
 
-class _WorkerHandle:
-    __slots__ = ("name", "process", "conn")
-
-    def __init__(self, name, process, conn) -> None:
-        self.name = name
-        self.process = process
-        self.conn = conn
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
 # ----------------------------------------------------------------------
 # The router
 # ----------------------------------------------------------------------
@@ -347,20 +333,15 @@ class ShardRouter:
         spec: WorkerSpec,
         workers: int = 4,
         store: StoreProvider | None = None,
-        vnodes: int = 64,
         auto_heal: bool = True,
-        worker_names=None,
     ) -> None:
-        if workers < 1 and not worker_names:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("fork")
         self.spec = spec
         self.store = store if store is not None else InMemoryStore()
         self.auto_heal = auto_heal
-        self.ring = HashRing(vnodes=vnodes)
-        self._workers: dict[str, _WorkerHandle] = {}
+        self.ring = HashRing()
+        self._workers: dict[str, ForkWorker] = {}
         self._inflight: dict[str, OrderedDict] = {}
         self._results: dict[int, tuple[list, list]] = {}
         self._dead: set[str] = set()
@@ -368,22 +349,13 @@ class ShardRouter:
         self._next_batch = 0
         self.respawns = 0
         self.last_records: list[tuple[str, int, float]] = []
-        names = list(worker_names) if worker_names else [
-            f"w{i}" for i in range(workers)
-        ]
-        for name in names:
-            self.ring.add_node(name)
-            self._spawn(name)
+        for i in range(workers):
+            self.ring.add_node(f"w{i}")
+            self._spawn(f"w{i}")
 
     # -- lifecycle -------------------------------------------------------
     def _spawn(self, name: str) -> None:
-        parent, child = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child, self.spec), daemon=True
-        )
-        process.start()
-        child.close()
-        self._workers[name] = _WorkerHandle(name, process, parent)
+        self._workers[name] = ForkWorker(_worker_main, self.spec)
         self._inflight.setdefault(name, OrderedDict())
         self._dead.discard(name)
         obs.gauge("serve.shard.workers", len(self._workers))
@@ -397,21 +369,17 @@ class ShardRouter:
         return sorted(self._known)
 
     def worker_pid(self, name: str) -> int:
-        return self._workers[name].process.pid
+        return self._workers[name].pid
 
     def close(self) -> None:
         """Stop every worker (politely, then hard) and close the store."""
-        for handle in self._workers.values():
+        for worker in self._workers.values():
             try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+                worker.send(("stop",))
+            except WorkerDied:
                 pass
-        for handle in self._workers.values():
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            handle.conn.close()
+        for worker in self._workers.values():
+            worker.close()
         self._workers.clear()
         self.store.close()
 
@@ -463,8 +431,8 @@ class ShardRouter:
         if name in self._dead:
             return  # heal() will replay from the in-flight ledger
         try:
-            self._workers[name].conn.send(message)
-        except (BrokenPipeError, OSError):
+            self._workers[name].send(message)
+        except WorkerDied:
             self._mark_dead(name)
 
     def _mark_dead(self, name: str) -> None:
@@ -481,8 +449,8 @@ class ShardRouter:
                 self.heal_worker(name)
                 continue
             try:
-                reply = self._workers[name].conn.recv()
-            except (EOFError, OSError):
+                reply = self._workers[name].recv()
+            except WorkerDied:
                 self._mark_dead(name)
                 continue
             self._process_reply(name, reply)
@@ -507,19 +475,18 @@ class ShardRouter:
     def heal_worker(self, name: str) -> None:
         """Respawn a dead worker: drain its last replies, rehydrate its
         streams from the store, replay unacknowledged batches in order."""
-        handle = self._workers[name]
+        worker = self._workers[name]
         # 1. Drain replies the worker wrote before dying — those batches
         #    completed; ack them normally so they are not replayed.
         while True:
             try:
-                if not handle.conn.poll(0):
+                if not worker.conn.poll(0):
                     break
-                reply = handle.conn.recv()
-            except (EOFError, OSError):
+                reply = worker.recv()
+            except (WorkerDied, OSError):
                 break
             self._process_reply(name, reply)
-        handle.conn.close()
-        handle.process.join(timeout=2.0)
+        worker.close()
         # 2. Respawn and rehydrate every stream the ring assigns here.
         self._spawn(name)
         self.respawns += 1
@@ -534,12 +501,12 @@ class ShardRouter:
         #    store holds the pre-batch state, so re-running them yields
         #    the exact scores the lost run would have produced.
         pending = list(self._inflight[name].items())
+        worker = self._workers[name]
         for batch_id, batch in pending:
-            self._workers[name].conn.send(("points", batch_id, batch))
+            worker.send(("points", batch_id, batch))
         for batch_id, _ in pending:
             while batch_id in self._inflight[name]:
-                reply = self._workers[name].conn.recv()
-                self._process_reply(name, reply)
+                self._process_reply(name, worker.recv())
         obs.event("serve.shard.healed", worker=name, replayed=len(pending))
 
     def _hydrate(self, name: str, stream_ids) -> None:
@@ -550,9 +517,9 @@ class ShardRouter:
                 payloads.append(snapshot.to_payload())
         if not payloads:
             return
-        conn = self._workers[name].conn
-        conn.send(("hydrate", payloads))
-        reply = conn.recv()
+        worker = self._workers[name]
+        worker.send(("hydrate", payloads))
+        reply = worker.recv()
         if reply[0] != "hydrated":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unexpected hydrate reply: {reply[0]!r}")
 
@@ -596,18 +563,15 @@ class ShardRouter:
         # Export through the store *before* the worker leaves.
         self._export_to_store(name, owned, evict=True)
         self.ring.remove_node(name)
-        handle = self._workers.pop(name)
+        worker = self._workers.pop(name)
         self._inflight.pop(name, None)
         self._dead.discard(name)
         try:
-            handle.conn.send(("stop",))
-            handle.conn.recv()
-        except (EOFError, BrokenPipeError, OSError):
+            worker.send(("stop",))
+            worker.recv()
+        except WorkerDied:
             pass
-        handle.process.join(timeout=2.0)
-        if handle.process.is_alive():
-            handle.process.terminate()
-        handle.conn.close()
+        worker.close()
         for new_owner, stream_ids in self.ring.assignments(owned).items():
             if stream_ids:
                 self._hydrate(new_owner, stream_ids)
@@ -624,9 +588,9 @@ class ShardRouter:
             return
         if name in self._dead or not self._workers[name].alive():
             return  # store already holds the last acked state
-        conn = self._workers[name].conn
-        conn.send(("export", list(stream_ids), evict))
-        reply = conn.recv()
+        worker = self._workers[name]
+        worker.send(("export", list(stream_ids), evict))
+        reply = worker.recv()
         if reply[0] != "exported":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unexpected export reply: {reply[0]!r}")
         self.store.save_many(
@@ -646,29 +610,19 @@ class ShardRouter:
             )
 
     # -- introspection ---------------------------------------------------
-    def checkpoint_all(self) -> int:
-        """Snapshot every known stream into the store (a full backup,
-        beyond the per-batch incremental persistence).  Returns the
-        number of streams persisted."""
-        total = 0
-        for name, stream_ids in self.ring.assignments(self._known).items():
-            self._export_to_store(name, stream_ids, evict=False)
-            total += len(stream_ids)
-        return total
-
     def report(self) -> dict:
         """JSON-ready fabric report including each worker's engine view."""
         workers = {}
         for name in self.workers:
-            handle = self._workers[name]
-            if name in self._dead or not handle.alive():
+            worker = self._workers[name]
+            if name in self._dead or not worker.alive():
                 workers[name] = {"alive": False}
                 continue
             try:
-                handle.conn.send(("report",))
-                reply = handle.conn.recv()
+                worker.send(("report",))
+                reply = worker.recv()
                 workers[name] = {"alive": True, **reply[1]}
-            except (EOFError, BrokenPipeError, OSError):
+            except WorkerDied:
                 self._mark_dead(name)
                 workers[name] = {"alive": False}
         return {
@@ -679,84 +633,3 @@ class ShardRouter:
             "respawns": self.respawns,
             "store": type(self.store).__name__,
         }
-
-
-# ----------------------------------------------------------------------
-# Off-path retraining (the adaptive controller's shard-fabric hook)
-# ----------------------------------------------------------------------
-def subprocess_trainer(trainer_factory, timeout_s: float | None = None):
-    """Wrap an adaptive-controller trainer factory to run in a fork.
-
-    Retraining a candidate model can take orders of magnitude longer
-    than a scoring batch; running it inside the ingest process stalls
-    every stream.  The wrapped factory forks a child, trains there, and
-    ships the fitted scorer back over a pipe — the parent's ingest path
-    keeps its caches and never runs the training loop.  Falls back to
-    inline training when the scorer cannot cross the process boundary
-    (unpicklable) or the fork fails; raises ``TimeoutError`` when the
-    child outlives ``timeout_s`` (the controller's retry/budget
-    machinery treats it like any other failed attempt).
-    """
-    import multiprocessing
-    import pickle
-
-    def train_offloaded(train_series, seed):
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - fork-less platform
-            return trainer_factory(train_series, seed)
-        parent, child = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_offload_main,
-            args=(child, trainer_factory, train_series, seed),
-            daemon=True,
-        )
-        start = time.perf_counter()
-        process.start()
-        child.close()
-        try:
-            if not parent.poll(timeout_s):
-                process.terminate()
-                process.join(timeout=2.0)
-                raise TimeoutError(
-                    f"offloaded retrain exceeded {timeout_s}s"
-                )
-            outcome, payload = parent.recv()
-        except EOFError:
-            # Child died without an answer (e.g. OOM-kill): train inline
-            # rather than lose the adaptation attempt.
-            process.join(timeout=2.0)
-            obs.incr("serve.shard.offload_fallbacks")
-            return trainer_factory(train_series, seed)
-        finally:
-            parent.close()
-            process.join(timeout=2.0)
-        obs.observe("serve.shard.offload_latency", time.perf_counter() - start)
-        if outcome == "unpicklable":
-            obs.incr("serve.shard.offload_fallbacks")
-            return trainer_factory(train_series, seed)
-        if outcome == "error":
-            exc_type, message = payload
-            raise RuntimeError(f"offloaded retrain failed: {exc_type}: {message}")
-        return pickle.loads(payload)
-
-    return train_offloaded
-
-
-def _offload_main(conn, trainer_factory, train_series, seed) -> None:
-    import pickle
-
-    try:
-        scorer = trainer_factory(train_series, seed)
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
-        conn.send(("error", (type(error).__name__, str(error))))
-        conn.close()
-        return
-    try:
-        payload = pickle.dumps(scorer)
-    except Exception:  # noqa: BLE001 - parent retrains inline
-        conn.send(("unpicklable", None))
-    else:
-        conn.send(("ok", payload))
-    conn.close()
-    os._exit(0)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
 from .. import obs
 from .shard import ShardRouter, WorkerSpec
@@ -48,12 +47,8 @@ class ShardSupervisor:
         spec: WorkerSpec,
         workers: int = 4,
         store: StoreProvider | None = None,
-        vnodes: int = 64,
-        router: ShardRouter | None = None,
     ) -> None:
-        self.router = router if router is not None else ShardRouter(
-            spec, workers=workers, store=store, vnodes=vnodes
-        )
+        self.router = ShardRouter(spec, workers=workers, store=store)
         self.heals = 0
 
     # -- serving ---------------------------------------------------------
@@ -66,8 +61,7 @@ class ShardSupervisor:
         """Detect dead workers and heal them; returns the healed names."""
         healed = []
         for name in self.router.workers:
-            handle = self.router._workers[name]
-            if not handle.alive():
+            if not self.router._workers[name].alive():
                 self.router._mark_dead(name)
                 self.router.heal_worker(name)
                 self.heals += 1
@@ -103,19 +97,16 @@ class ShardSupervisor:
         return {"workers": self.router.workers, "moved": moved, "was": current}
 
     # -- chaos -----------------------------------------------------------
-    def kill_worker(self, name: str, wait: bool = True) -> int:
-        """``kill -9`` a worker (the chaos drill). Returns its old pid.
+    def kill_worker(self, name: str) -> int:
+        """``kill -9`` a worker (the chaos drill) and reap it; returns its
+        old pid.
 
         The next :meth:`check` or :meth:`submit` heals it: drain the
         pipe, respawn, rehydrate from the store, replay unacked batches.
         """
         pid = self.router.worker_pid(name)
         os.kill(pid, signal.SIGKILL)
-        if wait:
-            deadline = time.monotonic() + 5.0
-            process = self.router._workers[name].process
-            while process.is_alive() and time.monotonic() < deadline:
-                time.sleep(0.01)
+        self.router._workers[name].process.join(timeout=5.0)
         obs.event("serve.shard.chaos_kill", worker=name, pid=pid)
         return pid
 

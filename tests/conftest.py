@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
 from repro.data import Dataset, DatasetSpec, make_dataset
+
+
+@pytest.fixture
+def hang_alarm():
+    """Fail a test that blocks for 30 s by SIGALRM instead of stalling
+    the suite (for code paths whose failure mode is a hang)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test still blocked after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.jobs import (
     CANCELLED,
     FAILED,
@@ -15,7 +19,11 @@ from repro.jobs import (
     job_detectors,
     register_job_detector,
 )
-from repro.jobs.registry import BatchedSpectralResidualScorer
+from repro.jobs.registry import (
+    BatchedSpectralResidualScorer,
+    build_scorer,
+    resolve_plan,
+)
 from repro.pipeline.contracts import WindowScorer
 from repro.pipeline.scores import spread_window_scores
 from repro.runtime import RetryPolicy
@@ -149,19 +157,49 @@ def test_cancel_while_running_then_resume(tmp_path, series):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_job_result_equals_single_batched_pass(tmp_path, workers):
-    """The whole fabric — submit, chunk, fork pool, journal, npz
+def register_sigkill_on_first_chunk():
+    """Spectral residual whose forked workers SIGKILL themselves on the
+    first chunk; the parent's serial retry (same pid as the test) scores
+    it normally."""
+    test_pid = os.getpid()
+
+    class SigkillOnFirstChunk(BatchedSpectralResidualScorer):
+        def score_windows(self, windows, batch):
+            if batch[0].start_index == 0 and os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().score_windows(windows, batch)
+
+    def build(train, params):
+        _, length, stride = build_scorer("spectral-residual", train, params)
+        return SigkillOnFirstChunk(), length, stride
+
+    register_job_detector(
+        "test-sigkill",
+        build,
+        plan=lambda train, params: resolve_plan("spectral-residual", train, params),
+    )
+    return "test-sigkill"
+
+
+@pytest.mark.parametrize(
+    "workers, sigkill", [(1, False), (2, False), (2, True)], ids=["1", "2", "2-sigkill"]
+)
+def test_job_result_equals_single_batched_pass(tmp_path, workers, sigkill, hang_alarm):
+    """The whole fabric — submit, chunk, fork workers, journal, npz
     artifacts, stitch — returns exactly the scores of one batched pass
-    over every window."""
+    over every window, also when a worker is SIGKILLed mid-job."""
     rng = np.random.default_rng(11)
     series = np.sin(np.arange(3000) / 9.0) + 0.05 * rng.standard_normal(3000)
     series[1200:1210] += 4.0
-    spec = JobSpec(detector="spectral-residual", chunk_windows=16)
+    detector = register_sigkill_on_first_chunk() if sigkill else "spectral-residual"
+    spec = JobSpec(detector=detector, chunk_windows=16)
     manager = JobManager(tmp_path / "store", workers=workers)
-    record = manager.submit_and_run(spec, series)
-    assert record.state == SUCCEEDED
+    with obs.observed() as session:
+        record = manager.submit_and_run(spec, series)
+    assert record.state == SUCCEEDED, record.error
     assert record.chunks_total > workers
+    retried = session.metrics.counters.get("jobs.chunks.pool_failures")
+    assert (retried.value if retried else 0) == int(sigkill)
 
     length, stride = record.spec.window_length, record.spec.stride
     windows, starts = sliding_windows(series, length, stride)

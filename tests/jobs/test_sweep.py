@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -130,15 +133,35 @@ def test_parallel_map_pool_marshals_errors():
     assert list(errors) == [1] and "poisoned" in errors[1]
 
 
-def test_parallel_map_should_stop_short_circuits():
-    stop = {"now": False}
+def test_parallel_map_reports_a_sigkilled_worker(hang_alarm):
+    def task(payload):
+        if payload == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return payload * 10
 
-    def on_result(index, result):
-        stop["now"] = True
-
+    seen = {}
     remaining, errors = parallel_map(
-        lambda p: p, list(range(5)), workers=1,
-        on_result=on_result, should_stop=lambda: stop["now"],
+        task, [0, 1, 2, 3], workers=2, on_result=seen.__setitem__
     )
-    assert errors == {}
-    assert len(remaining) == 4  # stopped after the first completion
+    assert remaining == []
+    assert seen == {0: 0, 1: 10, 3: 30}
+    assert errors == {2: "WorkerDied: exit code -9"}
+
+
+def test_parallel_map_should_stop_short_circuits(hang_alarm):
+    for workers in (1, 2):
+        stop, seen = {"now": False}, {}
+
+        def on_result(index, result):
+            seen[index] = result
+            stop["now"] = True
+
+        remaining, errors = parallel_map(
+            lambda p: p, list(range(5)), workers=workers,
+            on_result=on_result, should_stop=lambda: stop["now"],
+        )
+        assert errors == {}
+        # stopped after the first completion; in-flight indices count
+        # as remaining
+        assert len(remaining) == 4
+        assert sorted([*seen, *remaining]) == list(range(5))

@@ -1,5 +1,5 @@
 """Tests for the shard fabric: hash ring, worker engines, router
-parity, migration, and off-path retraining (repro.serve.shard)."""
+parity, and migration (repro.serve.shard)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.serve.shard import (
     ShardRouter,
     WorkerSpec,
     build_worker_engine,
-    subprocess_trainer,
 )
 from repro.serve.stores import InMemoryStore
 
@@ -218,41 +217,6 @@ class TestMigration:
         with ShardRouter(spec, workers=1, store=InMemoryStore()) as router:
             with pytest.raises(ValueError, match="last worker"):
                 router.remove_worker("w0")
-
-
-class TestSubprocessTrainer:
-    def test_offloaded_scorer_matches_inline(self, noisy_wave):
-        from repro.serve.adapt import moment_trainer
-
-        factory = moment_trainer()
-        inline = factory(noisy_wave[:800], 3)
-        offloaded = subprocess_trainer(factory)(noisy_wave[:800], 3)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            noisy_wave[800:1000], 32
-        )[::8].copy()
-        np.testing.assert_array_equal(
-            inline.score_windows(windows, None),
-            offloaded.score_windows(windows, None),
-        )
-
-    def test_unpicklable_scorer_falls_back_inline(self):
-        calls = []
-
-        def trainer(train_series, seed):
-            calls.append(seed)
-            return lambda w, b: np.zeros(len(w))  # lambdas don't pickle
-
-        scorer = subprocess_trainer(trainer)(np.zeros(64), 1)
-        # once in the child (discarded), once inline in the parent
-        assert calls == [1]
-        assert scorer(np.zeros((3, 4)), None).shape == (3,)
-
-    def test_child_error_propagates(self):
-        def trainer(train_series, seed):
-            raise RuntimeError("bad fit")
-
-        with pytest.raises(RuntimeError, match="bad fit"):
-            subprocess_trainer(trainer)(np.zeros(64), 1)
 
 
 class TestServeShardCLI:
