@@ -150,12 +150,17 @@ class TriAD:
         ``cached=True`` memoizes the feature-extraction stage through
         the pipeline — use it for window sets that recur (the training
         set, a test series swept across seeds), not for one-off
-        content like live serve batches.
+        content like live serve batches.  The encoder computes in its
+        own dtype (float32); the representations come back as float64,
+        the dtype every score downstream of them is computed in.
         """
         result = self._fitted()
         if cached:
             features = self._pipeline.features(
-                windows, result.plan.period, self.config.domains
+                windows,
+                result.plan.period,
+                self.config.domains,
+                dtype=result.encoder.dtype,
             )
         else:
             features = self._pipeline.extract(
@@ -163,7 +168,7 @@ class TriAD:
             )
         with nn.no_grad():
             encoded = result.encoder(features)
-        return {domain: r.data for domain, r in encoded.items()}
+        return {domain: r.data.astype(np.float64) for domain, r in encoded.items()}
 
     def window_similarity(
         self, windows: np.ndarray, cached: bool = False

@@ -7,6 +7,11 @@ latent ``(batch, h_d, length)`` maps are funneled through two dense
 layers *shared across domains* into a one-dimensional representation
 ``r`` of shape ``(batch, length)``, which feeds the contrastive losses
 and the window similarity ranking.
+
+The encoder computes in :data:`ENCODER_DTYPE` (float32): its parameters
+are built in it, its inputs are cast to it, and the whole training graph
+— activations, gradients, Adam moments — follows.  float64 is the test
+oracle, not a mode: tests reach it by monkeypatching the constant.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from ..nn.tensor import Tensor
 from .config import TriADConfig
 from .features import domain_channels
 
-__all__ = ["ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
+__all__ = ["ENCODER_DTYPE", "ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
+
+#: Dtype of every encoder parameter and activation.  float32 halves the
+#: memory traffic of the conv kernels, which are most of a fit.
+ENCODER_DTYPE = np.float32
 
 
 class ResidualBlock(nn.Module):
@@ -96,6 +105,10 @@ class TriDomainEncoder(nn.Module):
     ``forward`` returns L2-normalized representations so that dot
     products in the contrastive losses are bounded cosine similarities
     (see :class:`repro.core.config.TriADConfig.temperature`).
+
+    Parameters are drawn in float64 and rounded once to
+    :data:`ENCODER_DTYPE`, which is read at construction and kept as
+    ``dtype``; :meth:`encode` casts its features to it.
     """
 
     def __init__(self, config: TriADConfig, rng: np.random.Generator | None = None) -> None:
@@ -108,12 +121,18 @@ class TriDomainEncoder(nn.Module):
             setattr(self, f"encoder_{domain}", encoder)
         self.dense1 = nn.Linear(config.hidden_dim, config.hidden_dim, rng=rng)
         self.dense2 = nn.Linear(config.hidden_dim, 1, rng=rng)
+        self.dtype = np.dtype(ENCODER_DTYPE)
+        for param in self.parameters():
+            param.data = param.data.astype(self.dtype)
 
     def encode(self, features: np.ndarray | Tensor, domain: str) -> Tensor:
-        """Encode one domain's ``(batch, channels, length)`` features."""
+        """Encode one domain's ``(batch, channels, length)`` features
+        (cast to ``dtype`` unless they already have it)."""
         if domain not in self.domains:
             raise KeyError(f"domain {domain!r} not active in this encoder")
         encoder: DilatedConvEncoder = getattr(self, f"encoder_{domain}")
+        if not isinstance(features, Tensor):
+            features = np.asarray(features, dtype=self.dtype)
         hidden = encoder(nn.as_tensor(features))  # (B, h_d, L)
         hidden = hidden.transpose(0, 2, 1)  # (B, L, h_d)
         projected = self.dense2(self.dense1(hidden).relu())  # (B, L, 1)

@@ -51,7 +51,7 @@ def _contrastive_representations(
     """
     fused = encoder(
         {
-            d: np.concatenate([a, augmented_features[d]])
+            d: np.concatenate([a, augmented_features[d]], dtype=encoder.dtype)
             for d, a in original_features.items()
         }
     )
@@ -158,9 +158,10 @@ def train_encoder(
     default tolerates two rollbacks before aborting.  ``pipeline``
     supplies windowing and memoized feature extraction (the shared
     :func:`~repro.pipeline.default_pipeline` when omitted): per-domain
-    features of the training windows are computed once per window set —
-    and reused across seeds, since window content is seed-independent —
-    instead of once per batch per epoch.
+    features of the training windows are computed, and cast to the
+    encoder's dtype, once per window set — and reused across seeds,
+    since window content is seed-independent — instead of once per
+    batch per epoch.
 
     Raises ``ValueError`` when the series is non-finite, constant, or so
     short that the window plan cannot form a single contrastive batch.
@@ -172,7 +173,10 @@ def train_encoder(
     rng = np.random.default_rng(config.seed)
     plan = pipeline.plan_for(train_series, config)
     windows, _ = pipeline.windows(train_series, plan.length, plan.stride)
-    all_features = pipeline.features(windows, plan.period, config.domains)
+    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
+    all_features = pipeline.features(
+        windows, plan.period, config.domains, dtype=encoder.dtype
+    )
 
     # Hold out a random validation slice (paper: 10%).  Features are
     # sliced with the same permutation so each split stays row-aligned
@@ -195,7 +199,6 @@ def train_encoder(
             "or lower min_window / periods_per_window"
         )
 
-    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
     learning_rate = config.learning_rate
     optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
     result = TrainResult(encoder=encoder, plan=plan, config=config)

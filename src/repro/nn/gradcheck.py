@@ -2,6 +2,10 @@
 
 Every op in :mod:`repro.nn` is validated in the test suite by comparing
 its analytic gradient against central finite differences computed here.
+Both functions take float64 inputs only: the default 1e-6 step is below
+float32 resolution (~1.2e-7 relative), so on a float32 input the finite
+differences are rounding noise and a correct gradient would read as a
+mismatch.
 """
 
 from __future__ import annotations
@@ -15,6 +19,15 @@ from .tensor import Tensor
 __all__ = ["numerical_gradient", "check_gradients"]
 
 
+def _require_float64(inputs: Sequence[Tensor]) -> None:
+    for index, tensor in enumerate(inputs):
+        if tensor.data.dtype != np.float64:
+            raise TypeError(
+                f"gradcheck needs float64 inputs; input {index} is "
+                f"{tensor.data.dtype}"
+            )
+
+
 def numerical_gradient(
     fn: Callable[..., Tensor],
     inputs: Sequence[Tensor],
@@ -23,8 +36,10 @@ def numerical_gradient(
 ) -> np.ndarray:
     """Central finite-difference gradient of ``fn`` w.r.t. ``inputs[index]``.
 
-    ``fn`` must return a scalar :class:`Tensor`.
+    ``fn`` must return a scalar :class:`Tensor`.  Raises ``TypeError``
+    when an input is not float64.
     """
+    _require_float64(inputs)
     target = inputs[index]
     grad = np.zeros_like(target.data)
     flat = target.data.reshape(-1)
@@ -49,8 +64,10 @@ def check_gradients(
 ) -> None:
     """Assert analytic gradients of ``fn`` match finite differences.
 
-    Raises ``AssertionError`` naming the offending input on mismatch.
+    Raises ``AssertionError`` naming the offending input on mismatch, and
+    ``TypeError`` when an input is not float64.
     """
+    _require_float64(inputs)
     for tensor in inputs:
         tensor.zero_grad()
     out = fn(*inputs)

@@ -78,8 +78,11 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Stored as ``float64`` by default so that
-        gradient checks against numerical differentiation are tight.
+        Array-like payload.  A floating-point array keeps its dtype
+        (the TriAD encoder runs in ``float32``); anything else — Python
+        numbers, integer and boolean arrays — is stored as ``float64``,
+        which keeps gradient checks against numerical differentiation
+        tight.  Gradients take the dtype of the data they belong to.
     requires_grad:
         Whether gradients should be accumulated into this tensor when
         :meth:`backward` is called on a downstream result.
@@ -97,7 +100,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype.kind != "f":
+            data = data.astype(np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -174,7 +180,7 @@ class Tensor:
                 self.grad = buffer
                 self._grad_buffer = None
             else:
-                self.grad = np.array(grad, dtype=np.float64, copy=True)
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -193,7 +199,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar output")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         hook = hooks._TIMING_HOOK
         started = time.perf_counter() if hook is not None else 0.0
 
@@ -224,7 +230,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -243,13 +249,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-_operand(other, self))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return _operand(other, self) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -262,7 +268,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -275,7 +281,7 @@ class Tensor:
         return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return _operand(other, self) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -290,7 +296,7 @@ class Tensor:
     # Matrix multiplication
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -473,6 +479,18 @@ def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
+
+
+def _operand(value, like: Tensor) -> Tensor:
+    """Coerce the other operand of an arithmetic op on ``like``.
+
+    A Python number takes ``like``'s dtype, as it would in plain numpy
+    (NEP 50).  Wrapped as a float64 array it would instead upcast a
+    float32 graph: ``x * 0.5`` must stay float32.
+    """
+    if isinstance(value, (int, float)):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return as_tensor(value)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

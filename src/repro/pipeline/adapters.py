@@ -65,8 +65,7 @@ class TriADWindowScorer(WindowScorer):
         self.window_length = int(plan.length)
         stride = train_stride or plan.stride
         train_windows, _ = detector.train_windows(stride=stride)
-        reps = detector.representations(train_windows, cached=True)
-        self._train_reps = {d: np.asarray(r, dtype=np.float64) for d, r in reps.items()}
+        self._train_reps = detector.representations(train_windows, cached=True)
         self._train_norms = {
             d: (r**2).sum(axis=1) for d, r in self._train_reps.items()
         }

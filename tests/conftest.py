@@ -26,6 +26,13 @@ def hang_alarm():
 
 
 @pytest.fixture
+def float64_encoder(monkeypatch):
+    """Build TriAD encoders in float64, the oracle dtype, for this test
+    (production encoders are float32; see ``repro.core.encoder``)."""
+    monkeypatch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

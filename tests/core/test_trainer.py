@@ -65,12 +65,14 @@ def _two_pass(encoder, original, augmented, size):
 
 class TestContrastiveForwardFusion:
     def test_fused_forward_matches_two_pass(
-        self, noisy_wave, fast_config, monkeypatch
+        self, noisy_wave, fast_config, monkeypatch, float64_encoder
     ):
         """The concatenated [originals; augmented] pass must reproduce the
         two-pass losses: every encoder op is batch-row independent, so
         the only tolerated difference is BLAS rounding the last ulp
-        differently for the doubled row count."""
+        differently for the doubled row count, and the weight gradients
+        summing the batch rows in one GEMM instead of two.  Checked on
+        the float64 oracle, where those roundings are ~1e-16."""
         fused = train_encoder(noisy_wave, fast_config)
         monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)
         two_pass = train_encoder(noisy_wave, fast_config)
@@ -86,12 +88,12 @@ class TestContrastiveForwardFusion:
 class TestReferenceStack:
     @pytest.mark.parametrize("kernel_size", [3, 48])
     def test_losses_match_reference_stack(
-        self, noisy_wave, fast_config, monkeypatch, kernel_size
+        self, noisy_wave, fast_config, monkeypatch, kernel_size, float64_encoder
     ):
-        """Training on the fast stack reproduces training on the slowest
-        one — reference conv kernels, textbook Adam, two-pass contrastive
-        forward — to 1e-9 per epoch loss.  K=48 routes the fast stack's
-        convs through FFT."""
+        """Training on the production stack reproduces training on the
+        slowest one — reference conv kernels, textbook Adam, two-pass
+        contrastive forward — to 1e-9 per epoch loss, both on the float64
+        oracle.  K=48 checks that wide kernels run on taps as exactly."""
         config = fast_config.with_overrides(kernel_size=kernel_size, epochs=2)
         fast = train_encoder(noisy_wave, config)
         monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)

@@ -6,6 +6,10 @@ dataset.  These tests re-run the identical procedure on the current
 code: the memoized pipeline must not move a single prediction, loss,
 metric, or alert.  Regenerate the file only for a *deliberate*
 behavior change (re-run the capture block in its docstring).
+
+The file pins float64 outputs, so this module runs TriAD's encoder on
+the float64 oracle; ``tests/core/test_float32.py`` bounds the float32
+encoder against it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ from repro.eval import run_on_archive
 from repro.serve import build_engine, build_registry, replay_dataset
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "pipeline_golden.json"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def float64_encoder_module():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
+        yield
 
 
 @pytest.fixture(scope="module")
