@@ -4,25 +4,35 @@ Includes the dilated same-padding 1-D convolution at the heart of TriAD's
 encoders, numerically-stable softmax family ops with custom backward
 rules, dropout, and the loss helpers shared by the baselines.
 
-``conv1d`` ships two implementations behind one contract (see
+``conv1d`` ships three implementations behind one contract (see
 docs/PERF.md):
 
-- **taps** — the production kernel.  A ``K``-tap convolution runs as
-  ``K`` accumulated batched GEMMs directly against strided views of the
-  padded input — no tap matrix is ever materialized, and per-call
-  scratch buffers are reused via ``out=``, which matters because these
-  convs are memory-bound, not compute-bound.
+- **gemm** — the default fast path.  Small kernels (TriAD's ``K=3``
+  encoders) run as ``K`` accumulated batched GEMMs directly against
+  strided views of the padded input — no tap matrix is ever
+  materialized, and per-call scratch buffers are reused via ``out=``,
+  which matters because these convs are memory-bound, not
+  compute-bound.  Wide kernels switch to a classic im2col pack: the
+  dilated taps exposed as a zero-copy
+  :func:`numpy.lib.stride_tricks.sliding_window_view`, packed once into
+  a contiguous ``(batch, in_channels * kernel, out_length)`` operand so
+  forward and backward are single batched GEMMs.
+- **fft** — frequency-domain correlation, auto-selected when the
+  dilated kernel span is large enough that the GEMM's ``O(K)`` per-tap
+  cost loses to ``O(log n)`` transforms (wide kernels, extreme
+  dilations).
 - **reference** — the original per-tap ``np.stack`` + einsum gather,
   kept as the equivalence oracle (``tests/nn/test_conv_fastpath.py``,
   ``tests/nn/test_residual_block.py``).
 
 :func:`set_conv1d_mode` / :func:`conv1d_mode` switch between them; the
-default ``"auto"`` runs taps.  Each implementation is an array-level
-forward/backward pair, shared by ``conv1d`` and by
-:func:`residual_block`, which fuses a whole TriAD residual block (two
-convs, biases, ReLUs and the skip add) into one autograd node.
+default ``"auto"`` picks gemm unless the FFT heuristic fires.  Each
+implementation is an array-level forward/backward pair, shared by
+``conv1d`` and by :func:`residual_block`, which fuses a whole TriAD
+residual block (two convs, biases, ReLUs and the skip add) into one
+autograd node.
 
-Every kernel computes in the dtype of its operands: float32 inputs and
+Every kernel returns the dtype of its operands: float32 inputs and
 weights (the TriAD encoder) stay float32, float64 ones stay float64.
 """
 
@@ -52,9 +62,33 @@ __all__ = [
     "cosine_similarity",
 ]
 
+_CONV1D_MODES = ("auto", "gemm", "fft", "reference")
+
+# Kernels up to this many taps skip the im2col pack: K accumulated
+# batched GEMMs on strided views beat one big GEMM on a packed matrix
+# whenever building the matrix costs more memory traffic than it saves.
+TAP_GEMM_MAX_K = 8
+
+# Ceiling on the packed im2col operand (batch * C * K * L_out doubles).
+# Beyond it the pack's allocation traffic swamps the single-GEMM win, so
+# wide kernels fall back to the per-tap loop.
+IM2COL_MAX_BYTES = 8 << 20
+
+# FFT auto-selection heuristic: a GEMM multiplies every output sample by
+# all K taps, while the FFT path pays ~log2(n_fft) per sample regardless
+# of K — so frequency domain wins once the kernel is genuinely wide.
+# Measured at encoder shapes (B=32, C=O=64, L=512): K=32 runs ~2.8x
+# faster under FFT even at dilation 1, so the span threshold only rules
+# out degenerate few-tap-but-dilated kernels where the pointwise product
+# barely beats the GEMM yet the transforms still cost in full.  TriAD's
+# K=3 encoders never trip either threshold.
+FFT_MIN_TAPS = 32
+FFT_MIN_SPAN = 24
+
+
 # Mode switch (see the module docstring): ``set_conv1d_mode`` returns the
 # previous mode, ``conv1d_mode`` pins one for a ``with`` block.
-_CONV1D = Switch("conv1d", "auto", ("auto", "reference"))
+_CONV1D = Switch("conv1d", "auto", _CONV1D_MODES)
 set_conv1d_mode = _CONV1D.set
 get_conv1d_mode = _CONV1D.get
 conv1d_mode = _CONV1D.pinned
@@ -69,7 +103,8 @@ class _ConvPlan(NamedTuple):
     ``backward(plan, grad, padded, weight, saved, need_weight,
     need_input) -> (grad_weight, grad_padded)`` returns ``None`` for a
     gradient it was not asked for; ``grad_padded`` is laid out like
-    ``padded``, so callers slice the input's own span back out.
+    ``padded`` (the FFT path may run past its end), so callers slice the
+    input's own span back out.
     """
 
     forward: Callable
@@ -91,9 +126,9 @@ def _plan_conv1d(
     stride: int,
 ) -> _ConvPlan:
     """Validate shapes, derive the padding and output geometry, and pick
-    the kernel pair from the conv1d mode."""
-    _, in_channels, length = x_shape
-    _, w_in, kernel_size = w_shape
+    the kernel pair from the conv1d mode and the auto heuristics."""
+    batch, in_channels, length = x_shape
+    out_channels, w_in, kernel_size = w_shape
     if w_in != in_channels:
         raise ValueError(
             f"weight expects {w_in} input channels, got {in_channels}"
@@ -118,10 +153,22 @@ def _plan_conv1d(
         raise ValueError("input too short for kernel/dilation combination")
     out_length = (full_length - 1) // stride + 1
 
-    if _CONV1D.value == "reference":
+    mode = _CONV1D.value
+    if mode == "reference":
         kernel = _reference_forward, _reference_backward
-    else:
+    elif mode == "fft" or (
+        mode == "auto"
+        and stride == 1
+        and kernel_size >= FFT_MIN_TAPS
+        and span >= FFT_MIN_SPAN
+    ):
+        kernel = _fft_forward, _fft_backward
+    elif kernel_size <= TAP_GEMM_MAX_K or (
+        batch * in_channels * kernel_size * out_length * 8 > IM2COL_MAX_BYTES
+    ):
         kernel = _taps_forward, _taps_backward
+    else:
+        kernel = _im2col_forward, _im2col_backward
     return _ConvPlan(
         *kernel, dilation, stride, pad_left, pad_right, span, full_length, out_length
     )
@@ -200,7 +247,7 @@ def residual_block(
     skip_b)`` or, when ``skip_w`` is ``None``, the identity.
 
     Each convolution runs the same kernel :func:`conv1d` would pick for
-    it (same ``conv1d_mode``) and the arithmetic
+    it (same ``conv1d_mode``, same auto heuristics) and the arithmetic
     happens in the same order, so output and all seven gradients equal
     the layered ``conv1d → relu → conv1d + skip → relu`` composition
     exactly.  What changes is memory: bias and ReLU are applied in place
@@ -321,12 +368,12 @@ def _pad_input(
 def _taps_forward(
     plan: _ConvPlan, padded: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Production kernel: K accumulated batched GEMMs, no packing.
+    """Small-kernel GEMM path: K accumulated batched GEMMs, no packing.
 
     Each tap ``k`` contributes ``W[:, :, k] @ x_padded[:, :, k·d :]`` —
     a ``(O, C) @ (B, C, L_out)`` batched GEMM against a strided *view*
     of the padded input.  These convs are memory-bound at TriAD's
-    shapes, so skipping an im2col pack (3× the input's traffic for
+    shapes, so skipping the im2col pack (3× the input's traffic for
     ``K=3``) and reusing one scratch buffer per call via ``out=`` is
     worth more than any GEMM-efficiency gain from a single big matrix.
     Each GEMM is one batch row at a time, so a row's output does not
@@ -384,15 +431,129 @@ def _taps_backward(
     return grad_w, grad_padded
 
 
+def _im2col_forward(
+    plan: _ConvPlan, padded: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wide-kernel im2col path: one contiguous tap-matrix, BLAS everywhere.
+
+    ``sliding_window_view`` exposes every dilated tap as a zero-copy
+    strided view; a single ``ascontiguousarray`` packs the views into a
+    ``(batch, in_channels * kernel, out_length)`` operand (the only data
+    movement on the forward path) so the forward pass is one batched
+    GEMM producing ``(batch, out_channels, out_length)`` directly, and
+    the backward pass is two batched GEMMs plus a K-tap strided
+    scatter-add.  Worth the pack only past ``TAP_GEMM_MAX_K`` taps —
+    below that :func:`_taps_forward` does strictly less memory traffic.
+    """
+    batch, in_channels, _ = padded.shape
+    out_channels, _, kernel_size = weight.shape
+    # (B, C, K, L_out): tap axis ahead of the output axis, so the packed
+    # matrix multiplies against the (O, C*K) kernel with no transposes.
+    taps = np.lib.stride_tricks.sliding_window_view(
+        padded, plan.span + 1, axis=2
+    )[:, :, :: plan.stride, :: plan.dilation]
+    cols = np.ascontiguousarray(taps.transpose(0, 1, 3, 2)).reshape(
+        batch, in_channels * kernel_size, plan.out_length
+    )
+    return np.matmul(weight.reshape(out_channels, -1), cols), cols
+
+
+def _im2col_backward(
+    plan: _ConvPlan,
+    grad: np.ndarray,
+    padded: np.ndarray,
+    weight: np.ndarray,
+    cols: np.ndarray,
+    need_weight: bool,
+    need_input: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    dilation, stride, full_length = plan.dilation, plan.stride, plan.full_length
+    batch, in_channels, _ = padded.shape
+    out_channels, _, kernel_size = weight.shape
+    grad_w = grad_padded = None
+    if need_weight:
+        grad_w = np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
+        grad_w = grad_w.reshape(weight.shape)
+    if need_input:
+        grad_cols = np.matmul(weight.reshape(out_channels, -1).T, grad)
+        grad_taps = grad_cols.reshape(
+            batch, in_channels, kernel_size, plan.out_length
+        )
+        grad_padded = np.zeros_like(padded)
+        for k in range(kernel_size):
+            grad_padded[
+                :, :, k * dilation : k * dilation + full_length : stride
+            ] += grad_taps[:, :, k, :]
+    return grad_w, grad_padded
+
+
+def _fft_forward(
+    plan: _ConvPlan, padded: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int]]:
+    """FFT path: correlation as a frequency-domain product.
+
+    The dilated kernel is embedded into a dense ``span + 1`` tap buffer,
+    both operands are transformed once, and forward/backward each reduce
+    to one complex einsum + inverse transform.  Strides > 1 subsample
+    the dense output (and zero-stuff the gradient back up), so this path
+    is only auto-selected at stride 1 where nothing is wasted.
+    """
+    from scipy.fft import next_fast_len  # core dependency; lazy keeps import light
+
+    out_channels, in_channels, _ = weight.shape
+    n_fft = next_fast_len(padded.shape[2])
+    freq_x = np.fft.rfft(padded, n_fft, axis=2)  # (B, C, F)
+    dense_kernel = np.zeros(
+        (out_channels, in_channels, plan.span + 1), dtype=weight.dtype
+    )
+    dense_kernel[:, :, :: plan.dilation] = weight
+    freq_w = np.fft.rfft(dense_kernel, n_fft, axis=2)  # (O, C, F)
+
+    # Cross-correlation (the NN convention): X * conj(W) in frequency.
+    freq_out = np.einsum("bcf,ocf->bof", freq_x, freq_w.conj(), optimize=True)
+    dense = np.fft.irfft(freq_out, n_fft, axis=2)
+    out = np.ascontiguousarray(dense[:, :, : plan.full_length : plan.stride])
+    return out, (freq_x, freq_w, n_fft)
+
+
+def _fft_backward(
+    plan: _ConvPlan,
+    grad: np.ndarray,
+    padded: np.ndarray,
+    weight: np.ndarray,
+    saved: tuple[np.ndarray, np.ndarray, int],
+    need_weight: bool,
+    need_input: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    freq_x, freq_w, n_fft = saved
+    if plan.stride > 1:
+        dense_grad = np.zeros(grad.shape[:2] + (plan.full_length,), dtype=grad.dtype)
+        dense_grad[:, :, :: plan.stride] = grad
+    else:
+        dense_grad = grad
+    freq_grad = np.fft.rfft(dense_grad, n_fft, axis=2)  # (B, O, F)
+    grad_w = grad_padded = None
+    if need_weight:
+        freq_gw = np.einsum("bcf,bof->ocf", freq_x, freq_grad.conj(), optimize=True)
+        corr = np.fft.irfft(freq_gw, n_fft, axis=2)
+        grad_w = corr[:, :, : plan.span + 1 : plan.dilation]
+    if need_input:
+        # d/dx is the *convolution* of the gradient with the kernel:
+        # plain product (no conjugate) in frequency.
+        freq_gx = np.einsum("bof,ocf->bcf", freq_grad, freq_w, optimize=True)
+        grad_padded = np.fft.irfft(freq_gx, n_fft, axis=2)
+    return grad_w, grad_padded
+
+
 def _reference_forward(
     plan: _ConvPlan, padded: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The original per-tap gather implementation (equivalence oracle).
 
-    The taps kernel must match it in forward values and in the
+    Every fast path must match it in forward values and in the
     gradients it routes to ``x``, ``weight`` and ``bias``
     (``tests/nn/test_conv_fastpath.py``), and whole training runs on it
-    must match the production stack's losses to 1e-9
+    must match the fast stack's losses to 1e-9
     (``tests/core/test_trainer.py::TestReferenceStack``).
     """
     dilation, stride, full_length = plan.dilation, plan.stride, plan.full_length

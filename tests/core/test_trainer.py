@@ -93,7 +93,7 @@ class TestReferenceStack:
         """Training on the production stack reproduces training on the
         slowest one — reference conv kernels, textbook Adam, two-pass
         contrastive forward — to 1e-9 per epoch loss, both on the float64
-        oracle.  K=48 checks that wide kernels run on taps as exactly."""
+        oracle.  K=48 routes the fast stack's convs through FFT."""
         config = fast_config.with_overrides(kernel_size=kernel_size, epochs=2)
         fast = train_encoder(noisy_wave, config)
         monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)

@@ -99,6 +99,24 @@ class TestTensorDtype:
         assert {r.grad.dtype for r in reps.values()} == {F32}
 
 
+def _assert_float32_matches_reference(mode, arrays, **conv_kwargs):
+    """conv1d forward and gradients under ``mode`` in float32 against the
+    float64 reference kernel, at ``F32_ATOL``."""
+    seed = None
+    results = []
+    for dtype, run_mode in ((np.float64, "reference"), (np.float32, mode)):
+        tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        with F.conv1d_mode(run_mode):
+            out = F.conv1d(*tensors, **conv_kwargs)
+            if seed is None:
+                seed = np.sin(np.arange(out.data.size)).reshape(out.shape)
+            (out * Tensor(seed.astype(dtype))).sum().backward()
+        results.append([out.data] + [t.grad for t in tensors])
+    for want, got in zip(*results):
+        assert got.dtype == F32
+        np.testing.assert_allclose(got, want, rtol=0, atol=F32_ATOL)
+
+
 class TestFloat32Kernels:
     @pytest.mark.parametrize("padding", PADDINGS)
     @pytest.mark.parametrize("stride", STRIDES)
@@ -106,20 +124,22 @@ class TestFloat32Kernels:
     def test_taps_float32_matches_float64_reference(
         self, rng, padding, stride, dilation
     ):
-        x, w, b = rng.normal(size=(2, 3, 23)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
-        seed = None
-        results = []
-        for dtype, mode in ((np.float64, "reference"), (np.float32, "auto")):
-            tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
-            with F.conv1d_mode(mode):
-                out = F.conv1d(*tensors, padding=padding, stride=stride, dilation=dilation)
-                if seed is None:
-                    seed = np.sin(np.arange(out.data.size)).reshape(out.shape)
-                (out * Tensor(seed.astype(dtype))).sum().backward()
-            results.append([out.data] + [t.grad for t in tensors])
-        for want, got in zip(*results):
-            assert got.dtype == F32
-            np.testing.assert_allclose(got, want, rtol=0, atol=F32_ATOL)
+        arrays = rng.normal(size=(2, 3, 23)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        _assert_float32_matches_reference(
+            "auto", arrays, padding=padding, stride=stride, dilation=dilation
+        )
+
+    @pytest.mark.parametrize("mode", ["gemm", "fft"])
+    def test_wide_kernels_float32_match_float64_reference(self, rng, mode):
+        """Past ``TAP_GEMM_MAX_K`` taps ``gemm`` packs via im2col; ``fft``
+        correlates in frequency.  Both stay float32."""
+        kernel_size = F.TAP_GEMM_MAX_K + 4
+        arrays = (
+            rng.normal(size=(2, 3, 40)),
+            rng.normal(size=(4, 3, kernel_size)) / kernel_size,
+            rng.normal(size=4),
+        )
+        _assert_float32_matches_reference(mode, arrays, padding="same")
 
     @pytest.mark.parametrize("batch, x_grad", [(1, True), (3, True), (3, False)])
     @pytest.mark.parametrize("projection", [True, False], ids=["projection", "identity"])

@@ -4,9 +4,9 @@
 ``relu(conv2(relu(conv1(x) + b1)) + b2 + skip(x))``.  It must equal the
 layered composition ``conv1d → relu → conv1d + skip → relu`` exactly —
 ``np.array_equal`` on the output and on the gradients of ``x`` and every
-parameter — in both conv1d modes, because both run the same kernel
+parameter — in every conv1d mode, because both run the same kernel
 pairs in the same order.  Even kernel sizes exercise asymmetric same
-padding; ``K=48`` checks that wide kernels run the taps kernel too.
+padding; ``K=48`` is wide enough that ``auto`` picks the FFT kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from repro.nn import Tensor, check_gradients, no_grad
 from repro.nn import functional as F
 
-MODES = ["auto", "reference"]
+MODES = ["auto", "gemm", "fft", "reference"]
 KERNELS = [1, 2, 3, 5, 48]
 DILATIONS = [1, 4, 32]
 IN_CHANNELS, OUT_CHANNELS, LENGTH = 3, 4, 20
@@ -75,10 +75,10 @@ def test_fused_block_equals_layered_oracle(
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kernel_size, dilation", [(48, 1), (3, 32)])
-def test_auto_runs_taps_for_every_kernel(kernel_size, dilation):
-    shape = (OUT_CHANNELS, OUT_CHANNELS, kernel_size)
-    plan = F._plan_conv1d((1, OUT_CHANNELS, LENGTH), shape, dilation, "same", 1)
+def test_wide_kernel_auto_selects_fft():
+    plan = F._plan_conv1d((1, OUT_CHANNELS, LENGTH), (OUT_CHANNELS, OUT_CHANNELS, 48), 1, "same", 1)
+    assert plan.forward is F._fft_forward
+    plan = F._plan_conv1d((1, OUT_CHANNELS, LENGTH), (OUT_CHANNELS, OUT_CHANNELS, 3), 32, "same", 1)
     assert plan.forward is F._taps_forward
 
 
