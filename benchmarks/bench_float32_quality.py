@@ -14,13 +14,18 @@ Expected: float32 is no worse than float64 on either metric.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import repro.core.encoder as encoder_module
 from repro import TriAD
 from repro.eval import bench_archive, bench_config, render_table
 from repro.metrics import pa_k_auc, window_hits_event
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repo root
+from tests.conftest import encoder_dtype  # noqa: E402
 
 from _common import emit, fmt
 
@@ -30,10 +35,8 @@ DTYPES = {"float64 (oracle)": np.float64, "float32": np.float32}
 
 def _run(dtype) -> dict[tuple[str, int], tuple[tuple[int, int], bool, float]]:
     """(series, seed) -> (selected window, window hit, PA%K AUC F1)."""
-    previous = encoder_module.ENCODER_DTYPE
-    encoder_module.ENCODER_DTYPE = dtype
-    try:
-        out = {}
+    out = {}
+    with encoder_dtype(dtype):
         for dataset in bench_archive():
             for seed in SEEDS:
                 detection = TriAD(bench_config(seed=seed)).fit(dataset.train).detect(dataset.test)
@@ -42,9 +45,7 @@ def _run(dtype) -> dict[tuple[str, int], tuple[tuple[int, int], bool, float]]:
                     window_hits_event(detection.window, dataset.anomaly_interval),
                     pa_k_auc(detection.predictions, dataset.labels).f1_auc,
                 )
-        return out
-    finally:
-        encoder_module.ENCODER_DTYPE = previous
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -157,10 +157,7 @@ class TriAD:
         result = self._fitted()
         if cached:
             features = self._pipeline.features(
-                windows,
-                result.plan.period,
-                self.config.domains,
-                dtype=result.encoder.dtype,
+                windows, result.plan.period, self.config.domains
             )
         else:
             features = self._pipeline.extract(

@@ -46,8 +46,10 @@ def _contrastive_representations(
     ``[originals; augmented]`` forward halves the graph.  Every encoder
     op is row-independent, so this equals two separate passes — bitwise
     up to BLAS blocking, which may round the last ulp differently for
-    the doubled row count (pinned against a two-pass run by
+    the doubled row count (pinned against a two-pass run, on the
+    float64 oracle and in float32, by
     ``tests/core/test_trainer.py::TestContrastiveForwardFusion``).
+    The concatenation casts to the encoder's dtype in the same copy.
     """
     fused = encoder(
         {
@@ -158,10 +160,9 @@ def train_encoder(
     default tolerates two rollbacks before aborting.  ``pipeline``
     supplies windowing and memoized feature extraction (the shared
     :func:`~repro.pipeline.default_pipeline` when omitted): per-domain
-    features of the training windows are computed, and cast to the
-    encoder's dtype, once per window set — and reused across seeds,
-    since window content is seed-independent — instead of once per
-    batch per epoch.
+    features of the training windows are computed once per window set —
+    and reused across seeds, since window content is seed-independent —
+    instead of once per batch per epoch.
 
     Raises ``ValueError`` when the series is non-finite, constant, or so
     short that the window plan cannot form a single contrastive batch.
@@ -173,10 +174,7 @@ def train_encoder(
     rng = np.random.default_rng(config.seed)
     plan = pipeline.plan_for(train_series, config)
     windows, _ = pipeline.windows(train_series, plan.length, plan.stride)
-    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
-    all_features = pipeline.features(
-        windows, plan.period, config.domains, dtype=encoder.dtype
-    )
+    all_features = pipeline.features(windows, plan.period, config.domains)
 
     # Hold out a random validation slice (paper: 10%).  Features are
     # sliced with the same permutation so each split stays row-aligned
@@ -199,6 +197,7 @@ def train_encoder(
             "or lower min_window / periods_per_window"
         )
 
+    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
     learning_rate = config.learning_rate
     optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
     result = TrainResult(encoder=encoder, plan=plan, config=config)

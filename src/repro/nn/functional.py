@@ -32,8 +32,9 @@ implementation is an array-level forward/backward pair, shared by
 residual block (two convs, biases, ReLUs and the skip add) into one
 autograd node.
 
-Every kernel returns the dtype of its operands: float32 inputs and
-weights (the TriAD encoder) stay float32, float64 ones stay float64.
+The per-tap kernel (the one TriAD's convs take) and the reference
+kernel return the dtype of their operands: float32 inputs and weights
+(the TriAD encoder) stay float32, float64 ones stay float64.
 """
 
 from __future__ import annotations
@@ -376,8 +377,6 @@ def _taps_forward(
     shapes, so skipping the im2col pack (3× the input's traffic for
     ``K=3``) and reusing one scratch buffer per call via ``out=`` is
     worth more than any GEMM-efficiency gain from a single big matrix.
-    Each GEMM is one batch row at a time, so a row's output does not
-    depend on the batch it came in.
     """
     dilation, stride, full_length = plan.dilation, plan.stride, plan.full_length
     # (K, O, C) contiguous so each tap's GEMM operand needs no gather.
@@ -503,9 +502,7 @@ def _fft_forward(
     out_channels, in_channels, _ = weight.shape
     n_fft = next_fast_len(padded.shape[2])
     freq_x = np.fft.rfft(padded, n_fft, axis=2)  # (B, C, F)
-    dense_kernel = np.zeros(
-        (out_channels, in_channels, plan.span + 1), dtype=weight.dtype
-    )
+    dense_kernel = np.zeros((out_channels, in_channels, plan.span + 1))
     dense_kernel[:, :, :: plan.dilation] = weight
     freq_w = np.fft.rfft(dense_kernel, n_fft, axis=2)  # (O, C, F)
 
@@ -527,7 +524,7 @@ def _fft_backward(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     freq_x, freq_w, n_fft = saved
     if plan.stride > 1:
-        dense_grad = np.zeros(grad.shape[:2] + (plan.full_length,), dtype=grad.dtype)
+        dense_grad = np.zeros(grad.shape[:2] + (plan.full_length,))
         dense_grad[:, :, :: plan.stride] = grad
     else:
         dense_grad = grad

@@ -142,22 +142,17 @@ class FeaturePipeline:
         windows: np.ndarray,
         period: int,
         domains: tuple[str, ...] = DOMAINS,
-        dtype=np.float64,
     ) -> dict[str, np.ndarray]:
         """Memoized per-domain features for one window set.
 
         Extraction is row-independent, so slicing a batch out of the
         result is bit-identical to extracting that batch directly — the
-        trainer's per-epoch loop depends on this.  Features are
-        extracted in float64 and stored in ``dtype`` (the TriAD encoder
-        asks for float32), so a consumer that computes in another dtype
-        casts once per window set, not once per batch.
+        trainer's per-epoch loop depends on this.
         """
-        dtype = np.dtype(dtype)
         return self._memo(
-            ("features", windows, period, tuple(domains), dtype.str),
+            ("features", windows, period, tuple(domains)),
             lambda: {
-                domain: _freeze(array.astype(dtype, copy=False))
+                domain: _freeze(array)
                 for domain, array in extract_all_domains(
                     windows, period, tuple(domains)
                 ).items()

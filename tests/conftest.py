@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,11 +26,21 @@ def hang_alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def encoder_dtype(dtype):
+    """Build TriAD encoders in ``dtype`` inside the block by patching
+    ``repro.core.encoder.ENCODER_DTYPE`` (production encoders are
+    float32; float64 is the oracle)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.encoder.ENCODER_DTYPE", dtype)
+        yield
+
+
 @pytest.fixture
-def float64_encoder(monkeypatch):
-    """Build TriAD encoders in float64, the oracle dtype, for this test
-    (production encoders are float32; see ``repro.core.encoder``)."""
-    monkeypatch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
+def float64_encoder():
+    """Run this test's TriAD encoders on the float64 oracle."""
+    with encoder_dtype(np.float64):
+        yield
 
 
 @pytest.fixture

@@ -4,12 +4,12 @@ TriAD's encoder computes in ``repro.core.encoder.ENCODER_DTYPE``
 (float32).  These tests pin that contract from both sides:
 
 - *dtype closure*: during a fit every autograd node output, parameter,
-  gradient, Adam moment and cached feature array is float32 — a float64
-  anywhere means a silent NEP 50 upcast (a float64 0-d array or mask
-  promotes a float32 graph) that would quietly undo the speedup — while
-  everything TriAD hands back (scores, similarities, votes) is float64;
+  gradient and Adam moment is float32 — a float64 anywhere means a
+  silent NEP 50 upcast (a float64 0-d array or mask promotes a float32
+  graph) that would quietly undo the speedup — while everything TriAD
+  hands back (scores, similarities, votes) is float64;
 - *oracle distance*: the same fit on the float64 oracle (the constant
-  monkeypatched to float64) is at most :data:`LOSS_TOLERANCE` away in
+  patched to float64 by ``encoder_dtype``) is at most :data:`LOSS_TOLERANCE` away in
   every epoch loss, and the float32 encoder leaves the golden pipeline's
   discrete outputs where the float64 golden file has them;
 - *persistence*: files saved with float64 parameters (every file written
@@ -32,6 +32,8 @@ from repro.data import DatasetSpec, make_dataset
 from repro.nn.tensor import Tensor
 from repro.pipeline import FeaturePipeline, from_triad
 from repro.serve import build_engine, build_registry, replay_dataset
+
+from ..conftest import encoder_dtype
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "pipeline_golden.json"
 
@@ -78,9 +80,12 @@ def test_production_encoder_is_float32():
 
 
 class TestDtypeClosure:
-    def test_fit_graph_state_and_cache_are_float32(
+    def test_fit_graph_and_state_are_float32(
         self, noisy_wave, small_config, monkeypatch
     ):
+        """The feature cache stays float64, as extracted: the trainer's
+        per-batch slice-and-concatenate casts to float32 in the copy it
+        makes anyway, so the first conv already sees float32."""
         node_dtypes: set[np.dtype] = set()
         make = Tensor._make
 
@@ -116,7 +121,7 @@ class TestDtypeClosure:
             for array in entry.values()
         ]
         assert len(cached) == len(small_config.domains)
-        assert {array.dtype for array in cached} == {np.dtype(np.float32)}
+        assert {array.dtype for array in cached} == {np.dtype(np.float64)}
 
     def test_scores_and_detection_are_float64(self, noisy_wave, small_config):
         detector = TriAD(small_config).fit(noisy_wave)
@@ -136,17 +141,15 @@ class TestDtypeClosure:
 
 class TestFloat64Oracle:
     @pytest.mark.parametrize("case", ["golden", "noisy_wave"])
-    def test_train_losses_track_float64(
-        self, case, noisy_wave, spike, golden, monkeypatch
-    ):
+    def test_train_losses_track_float64(self, case, noisy_wave, spike, golden):
         if case == "golden":
             series, config = spike.train, TriADConfig(**golden["config"])
         else:
             series = noisy_wave
             config = TriADConfig(depth=2, hidden_dim=8, epochs=6, seed=1, max_window=128)
         fit32 = train_encoder(series, config)
-        monkeypatch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
-        fit64 = train_encoder(series, config)
+        with encoder_dtype(np.float64):
+            fit64 = train_encoder(series, config)
         assert (fit32.encoder.dtype, fit64.encoder.dtype) == (np.float32, np.float64)
         assert len(fit32.train_losses) == len(fit64.train_losses) == config.epochs
         gap = np.abs(np.subtract(fit32.train_losses, fit64.train_losses))
@@ -193,14 +196,11 @@ class TestFloat64Oracle:
 
 
 class TestPersistence:
-    def test_float64_file_loads_as_float32(
-        self, noisy_wave, small_config, tmp_path, monkeypatch
-    ):
+    def test_float64_file_loads_as_float32(self, noisy_wave, small_config, tmp_path):
         """A file with float64 parameters (the format saved before the
         encoder went float32) loads into float32 parameters and detects
         exactly like the same model cast to float32 in memory."""
-        with monkeypatch.context() as patch:
-            patch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
+        with encoder_dtype(np.float64):
             fitted = TriAD(small_config).fit(noisy_wave)
         path = tmp_path / "float64.npz"
         save_detector(fitted, path)

@@ -9,6 +9,7 @@ from repro import nn
 from repro.core import TriADConfig, train_encoder, trainer
 
 from ..nn.test_optim_fused import REFERENCE
+from .test_float32 import LOSS_TOLERANCE
 
 
 @pytest.fixture
@@ -83,6 +84,22 @@ class TestContrastiveForwardFusion:
         ):
             assert name_a == name_b
             assert np.allclose(p_a.data, p_b.data, rtol=1e-10, atol=1e-12)
+
+    def test_fused_forward_matches_two_pass_in_float32(
+        self, noisy_wave, fast_config, monkeypatch
+    ):
+        """The production float32 fused pass against the float32 two-pass
+        forward, at the float32 loss bound (measured: 2.6e-8 train,
+        6.0e-8 validation)."""
+        fused = train_encoder(noisy_wave, fast_config)
+        monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)
+        two_pass = train_encoder(noisy_wave, fast_config)
+        assert (fused.encoder.dtype, two_pass.encoder.dtype) == (np.float32,) * 2
+        for got, want in [
+            (fused.train_losses, two_pass.train_losses),
+            (fused.val_losses, two_pass.val_losses),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=LOSS_TOLERANCE)
 
 
 class TestReferenceStack:

@@ -24,13 +24,14 @@ from repro import TriAD, TriADConfig
 from repro.eval import run_on_archive
 from repro.serve import build_engine, build_registry, replay_dataset
 
+from ..conftest import encoder_dtype
+
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "pipeline_golden.json"
 
 
 @pytest.fixture(scope="module", autouse=True)
 def float64_encoder_module():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.core.encoder.ENCODER_DTYPE", np.float64)
+    with encoder_dtype(np.float64):
         yield
 
 
