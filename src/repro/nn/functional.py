@@ -639,7 +639,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     if not training or p <= 0.0:
         return x
     x = as_tensor(x)
-    mask = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.data.dtype, copy=False)
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
