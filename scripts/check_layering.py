@@ -22,8 +22,8 @@ growing back.
 at any scope.  The job fabric is an orchestration shell around the
 lower layers — letting eval/core reach back into it would create
 exactly the cyclic "everything drives everything" coupling the
-subsystem was built to avoid (eval exposes ``execute_unit`` and jobs
-drives it, never the reverse).  ``serve`` earned the exemption when
+subsystem was built to avoid.  What eval and jobs share, the fan-out
+``parallel_map``, lives below both in ``runtime.workers``.  ``serve`` earned the exemption when
 the shard fabric started building worker scorers through the
 string-named ``jobs.registry`` detectors; the import must still be
 function-scoped because serve sits *below* jobs in the layer map.

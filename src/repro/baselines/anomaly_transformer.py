@@ -17,6 +17,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["AnomalyTransformerDetector"]
@@ -123,10 +124,4 @@ class AnomalyTransformerDetector(BaseDetector):
         errors = (recon.data - windows) ** 2
         discrepancy = self._discrepancy(weights.data, w)
         point_scores = errors * discrepancy
-        accumulated = np.zeros(len(series))
-        counts = np.zeros(len(series))
-        for row, start in enumerate(starts):
-            accumulated[start : start + w] += point_scores[row]
-            counts[start : start + w] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(point_scores, starts, w, len(series))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["DonutDetector", "WindowVAE"]
@@ -128,10 +129,4 @@ class DonutDetector(BaseDetector):
                 reconstruction, _, _ = self.model(nn.Tensor(windows))
                 errors += (reconstruction.data - windows) ** 2
         errors /= self.mc_samples
-        accumulated = np.zeros(len(series))
-        counts = np.zeros(len(series))
-        for row, start in enumerate(starts):
-            accumulated[start : start + w] += errors[row]
-            counts[start : start + w] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(errors, starts, w, len(series))

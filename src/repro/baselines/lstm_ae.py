@@ -15,6 +15,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["LSTMAutoencoder", "LSTMAEDetector"]
@@ -107,15 +108,7 @@ class LSTMAEDetector(BaseDetector):
             reconstruction = self.model(nn.Tensor(windows)).data
         point_errors = (reconstruction - windows) ** 2
         # Spread each window's per-point error back onto the series.
-        total = len(series)
-        accumulated = np.zeros(total)
-        counts = np.zeros(total)
-        length = windows.shape[1]
-        for row, start in enumerate(starts):
-            accumulated[start : start + length] += point_errors[row]
-            counts[start : start + length] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(point_errors, starts, windows.shape[1], len(series))
 
     def reconstruction(self, series: np.ndarray) -> np.ndarray:
         """Averaged reconstruction of the series (used by the Fig. 2 bench)."""
@@ -125,16 +118,4 @@ class LSTMAEDetector(BaseDetector):
         windows, starts = self._windows(normalized, self.window, max(self.window // 2, 1))
         with nn.no_grad():
             recon = self.model(nn.Tensor(windows)).data
-        return _average_overlaps(recon, starts, windows.shape[1], len(series))
-
-
-def _average_overlaps(
-    rows: np.ndarray, starts: np.ndarray, length: int, total: int
-) -> np.ndarray:
-    accumulated = np.zeros(total)
-    counts = np.zeros(total)
-    for row, start in zip(rows, starts):
-        accumulated[start : start + length] += row
-        counts[start : start + length] += 1.0
-    counts[counts == 0] = 1.0
-    return accumulated / counts
+        return spread_window_scores(recon, starts, windows.shape[1], len(series))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["MTGFlowDetector", "AffineCoupling"]
@@ -130,10 +131,4 @@ class MTGFlowDetector(BaseDetector):
         windows, starts = self._windows(normalized, w, max(w // 4, 1))
         with nn.no_grad():
             nll = self._nll(windows).data  # (B,)
-        accumulated = np.zeros(len(series))
-        counts = np.zeros(len(series))
-        for value, start in zip(nll, starts):
-            accumulated[start : start + w] += value
-            counts[start : start + w] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(nll, starts, w, len(series))

@@ -19,6 +19,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["TS2VecDetector"]
@@ -134,10 +135,4 @@ class TS2VecDetector(BaseDetector):
         with nn.no_grad():
             reps = self._encode(windows).data  # (B, L, dim)
         deviations = np.linalg.norm(reps - self._train_rep_mean, axis=-1)  # (B, L)
-        accumulated = np.zeros(len(series))
-        counts = np.zeros(len(series))
-        for row, start in enumerate(starts):
-            accumulated[start : start + w] += deviations[row]
-            counts[start : start + w] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(deviations, starts, w, len(series))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..signal.normalize import zscore
+from ..pipeline.scores import spread_window_scores
 from .base import BaseDetector
 
 __all__ = ["USADDetector"]
@@ -120,10 +121,4 @@ class USADDetector(BaseDetector):
         err1 = (windows - w1) ** 2
         err2 = (windows - w2_of_w1) ** 2
         point_scores = self.alpha * err1 + (1.0 - self.alpha) * err2
-        accumulated = np.zeros(len(series))
-        counts = np.zeros(len(series))
-        for row, start in enumerate(starts):
-            accumulated[start : start + w] += point_scores[row]
-            counts[start : start + w] += 1.0
-        counts[counts == 0] = 1.0
-        return accumulated / counts
+        return spread_window_scores(point_scores, starts, w, len(series))

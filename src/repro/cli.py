@@ -99,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also record nested spans (requires "
                                 "--metrics-out); view with 'repro profile'")
     p_compare.add_argument("--workers", type=int, default=1,
-                           help="run (dataset, seed) units on N worker "
-                                "processes via the job fabric; results are "
-                                "identical to the sequential sweep")
+                           help="run (dataset, seed) units on N fork "
+                                "worker processes; results are identical "
+                                "to the sequential sweep")
 
     sub.add_parser("experiments", help="list paper artifacts and benches")
 
@@ -423,17 +423,7 @@ def _cmd_compare(args) -> int:
             else:
                 print(f"unknown detector {name!r}", file=sys.stderr)
                 return 2
-            if args.workers > 1:
-                from .jobs import run_archive_job
-
-                def runner(name, factory, archive, seeds, policy, checkpoint):
-                    return run_archive_job(
-                        name, factory, archive, seeds=seeds, mode=args.mode,
-                        workers=args.workers, policy=policy,
-                        checkpoint=checkpoint,
-                    )
-            else:
-                runner = run_scores_on_archive if args.mode == "scores" else run_on_archive
+            runner = run_scores_on_archive if args.mode == "scores" else run_on_archive
             checkpoint = None
             if args.checkpoint is not None:
                 args.checkpoint.mkdir(parents=True, exist_ok=True)
@@ -444,8 +434,8 @@ def _cmd_compare(args) -> int:
                         print(f"cleared {cleared} recorded failure(s) for {name}",
                               file=sys.stderr)
             aggregates.append(
-                runner(name, factory, archive, seeds=(0,),
-                       policy=policy, checkpoint=checkpoint)
+                runner(name, factory, archive, seeds=(0,), policy=policy,
+                       checkpoint=checkpoint, workers=args.workers)
             )
 
         metric_names = SCORE_METRIC_NAMES if args.mode == "scores" else METRIC_NAMES

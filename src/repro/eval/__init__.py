@@ -8,10 +8,8 @@ from .runner import (
     SCORE_METRIC_NAMES,
     AggregateScores,
     DatasetScores,
-    aggregate_runs,
     evaluate_predictions,
     evaluate_scores,
-    execute_unit,
     run_on_archive,
     run_scores_on_archive,
 )
@@ -27,10 +25,8 @@ __all__ = [
     "SCORE_METRIC_NAMES",
     "AggregateScores",
     "DatasetScores",
-    "aggregate_runs",
     "evaluate_predictions",
     "evaluate_scores",
-    "execute_unit",
     "run_on_archive",
     "run_scores_on_archive",
     "render_table",

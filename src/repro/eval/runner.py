@@ -7,15 +7,18 @@ aggregates to mean +/- std across seeds — the protocol behind the
 paper's Table III.
 
 Both runners accept an optional :class:`~repro.runtime.RetryPolicy`:
-without one they crash through (any exception aborts the sweep, the
-historical behavior); with one each (dataset, seed) unit is isolated —
-bounded retries with deterministic reseeding and per-attempt budgets,
-exhausted units recorded as structured
+without one they crash through (:data:`~repro.runtime.CRASH_THROUGH`:
+any exception aborts the sweep); with one each (dataset, seed) unit is
+isolated — bounded retries with deterministic reseeding and per-attempt
+budgets, exhausted units recorded as structured
 :class:`~repro.runtime.FailureReport` entries, and aggregation covering
 the survivors with explicit coverage accounting.  An optional
 :class:`~repro.eval.persistence.SweepCheckpoint` persists every
 completed unit incrementally so an interrupted sweep resumes from the
-last completed (dataset, seed) pair.  See ``docs/RESILIENCE.md``.
+last completed (dataset, seed) pair.  ``workers`` runs the pending units
+on fork workers through :func:`repro.runtime.workers.parallel_map`; the
+aggregate is the same for every worker count, and a checkpoint written
+under one count resumes under another.  See ``docs/RESILIENCE.md``.
 
 The ``Detector``/``ScoringDetector`` contracts come from
 :mod:`repro.pipeline.contracts` (re-exported here for compatibility) —
@@ -27,7 +30,7 @@ detector are interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +46,8 @@ from ..metrics import (
     roc_auc,
 )
 from ..pipeline import Detector, ScoringDetector
-from ..runtime import FailureReport, InvalidOutputError, RetryPolicy
+from ..runtime import CRASH_THROUGH, FailureReport, InvalidOutputError, RetryPolicy
+from ..runtime.workers import parallel_map
 from ..validation import validate_dataset
 
 __all__ = [
@@ -53,8 +57,6 @@ __all__ = [
     "AggregateScores",
     "evaluate_predictions",
     "evaluate_scores",
-    "execute_unit",
-    "aggregate_runs",
     "run_on_archive",
     "run_scores_on_archive",
     "METRIC_NAMES",
@@ -187,6 +189,22 @@ def evaluate_scores(
 # ----------------------------------------------------------------------
 
 
+class _Mode(NamedTuple):
+    """What one runner asks of a unit: the stage that produces output,
+    the detector method behind it, the output's name in error messages,
+    the evaluator, and the metrics a journaled unit must carry."""
+
+    stage: str
+    method: str
+    kind: str
+    evaluate: Callable[..., dict[str, float]]
+    metric_names: tuple[str, ...]
+
+
+_BINARY = _Mode("predict", "predict", "predictions", evaluate_predictions, METRIC_NAMES)
+_SCORES = _Mode("score", "score_series", "scores", evaluate_scores, SCORE_METRIC_NAMES)
+
+
 class _Unit:
     """Mutable context for one (dataset, seed) attempt — tracks the
     active stage so a failure is attributed to validate/fit/predict/
@@ -197,56 +215,32 @@ class _Unit:
 
 
 def _check_output(out: np.ndarray, dataset: Dataset, kind: str) -> np.ndarray:
-    """Reject wrong-shaped output; binary predictions must also be finite
-    (scores get worst-case substitution in :func:`evaluate_scores`)."""
+    """Reject output that is not one finite value per test point."""
     out = np.asarray(out)
     if out.ndim != 1 or len(out) != len(dataset.test):
         raise InvalidOutputError(
             f"{kind} shape {out.shape} does not match test shape "
             f"({len(dataset.test)},) on {dataset.name}"
         )
+    if not np.all(np.isfinite(out.astype(np.float64))):
+        raise InvalidOutputError(f"{kind} contain non-finite values on {dataset.name}")
     return out
 
 
-def _run_unit_binary(
-    detector, dataset: Dataset, seed: int, unit: _Unit, budget, on_detection
+def _run_unit(
+    detector, dataset: Dataset, seed: int, unit: _Unit, budget, mode: _Mode
 ) -> DatasetScores:
     unit.stage = "fit"
     detector.fit(dataset.train)
     if budget is not None:
         budget.check_time()
-    unit.stage = "predict"
-    predictions = _check_output(detector.predict(dataset.test), dataset, "predictions")
-    if not np.all(np.isfinite(np.asarray(predictions, dtype=np.float64))):
-        raise InvalidOutputError(
-            f"predictions contain non-finite values on {dataset.name}"
-        )
+    unit.stage = mode.stage
+    out = _check_output(getattr(detector, mode.method)(dataset.test), dataset, mode.kind)
     if budget is not None:
         budget.check_time()
     unit.stage = "evaluate"
     notes: list[str] = []
-    metrics = evaluate_predictions(predictions, dataset.labels, warnings=notes)
-    if on_detection is not None:
-        on_detection(dataset, seed, detector, predictions)
-    return DatasetScores(dataset=dataset.name, seed=seed, metrics=metrics, warnings=notes)
-
-
-def _run_unit_scores(
-    detector, dataset: Dataset, seed: int, unit: _Unit, budget, on_detection
-) -> DatasetScores:
-    unit.stage = "fit"
-    detector.fit(dataset.train)
-    if budget is not None:
-        budget.check_time()
-    unit.stage = "score"
-    scores = _check_output(detector.score_series(dataset.test), dataset, "scores")
-    if not np.all(np.isfinite(np.asarray(scores, dtype=np.float64))):
-        raise InvalidOutputError(f"scores contain non-finite values on {dataset.name}")
-    if budget is not None:
-        budget.check_time()
-    unit.stage = "evaluate"
-    notes: list[str] = []
-    metrics = evaluate_scores(scores, dataset.labels, warnings=notes)
+    metrics = mode.evaluate(out, dataset.labels, warnings=notes)
     return DatasetScores(dataset=dataset.name, seed=seed, metrics=metrics, warnings=notes)
 
 
@@ -256,8 +250,7 @@ def _attempt_unit(
     dataset: Dataset,
     seed: int,
     policy: RetryPolicy,
-    run_unit,
-    on_detection,
+    mode: _Mode,
 ) -> DatasetScores | FailureReport:
     """Run one unit under a retry policy; never raises retryable errors."""
     unit = _Unit()
@@ -283,7 +276,7 @@ def _attempt_unit(
             detector = factory(policy.reseed(seed, attempt))
             if budget is not None and hasattr(detector, "set_budget"):
                 detector.set_budget(budget)
-            result = run_unit(detector, dataset, seed, unit, budget, on_detection)
+            result = _run_unit(detector, dataset, seed, unit, budget, mode)
             result.attempts = attempt + 1
             return result
         except policy.retry_on as error:
@@ -300,42 +293,20 @@ def _attempt_unit(
     )
 
 
-_UNIT_RUNNERS = {"binary": _run_unit_binary, "scores": _run_unit_scores}
-
-
-def execute_unit(
+def _execute_unit(
     name: str,
     factory: Callable[[int], object],
     dataset: Dataset,
     seed: int,
-    policy: RetryPolicy | None = None,
-    mode: str = "binary",
-    on_detection=None,
+    policy: RetryPolicy,
+    mode: _Mode,
 ) -> DatasetScores | FailureReport:
-    """Run exactly one (dataset, seed) unit — the sweep's atom.
-
-    With a policy the unit is isolated (bounded retries with reseeding,
-    exhausted units become :class:`FailureReport`); without one any
-    exception propagates.  ``mode`` selects binary-prediction or
-    continuous-score evaluation.  This is the hook the job fabric
-    (:func:`repro.jobs.run_archive_job`) parallelizes over, so a worker
-    process and the in-process sweep execute byte-identical unit code.
-    """
-    try:
-        run_unit = _UNIT_RUNNERS[mode]
-    except KeyError:
-        raise ValueError(f"mode must be one of {sorted(_UNIT_RUNNERS)}, got {mode!r}")
+    """Run exactly one (dataset, seed) unit — the sweep's atom, the same
+    code in the parent and in a fork worker."""
     with obs.span(
         "eval.unit", detector=name, dataset=dataset.name, seed=seed
     ) as unit_span:
-        if policy is None:
-            validate_dataset(dataset)
-            unit = _Unit()
-            outcome = run_unit(factory(seed), dataset, seed, unit, None, on_detection)
-        else:
-            outcome = _attempt_unit(
-                name, factory, dataset, seed, policy, run_unit, on_detection
-            )
+        outcome = _attempt_unit(name, factory, dataset, seed, policy, mode)
         obs.incr("eval.units")
         obs.incr("eval.retries", max(outcome.attempts - 1, 0))
         if isinstance(outcome, FailureReport):
@@ -347,21 +318,20 @@ def execute_unit(
     return outcome
 
 
-def aggregate_runs(
+def _aggregate(
     name: str,
-    per_run: list[DatasetScores],
-    failures: list[FailureReport],
+    outcomes: list[DatasetScores | FailureReport],
     seeds: Sequence[int],
     metric_names: tuple[str, ...],
-    total_units: int,
 ) -> AggregateScores:
     """Fold per-unit outcomes into :class:`AggregateScores`.
 
     Per-seed archive averages over surviving runs, then mean/std across
     seeds that have at least one survivor; ``coverage`` is completed /
-    scheduled units.  Shared by the sequential runners and the parallel
-    job-fabric sweep so both aggregate identically.
+    scheduled units.
     """
+    per_run = [o for o in outcomes if isinstance(o, DatasetScores)]
+    failures = [o for o in outcomes if isinstance(o, FailureReport)]
     seed_means: dict[int, dict[str, float]] = {}
     for seed in seeds:
         runs = [r for r in per_run if r.seed == seed]
@@ -383,7 +353,7 @@ def aggregate_runs(
         mean = {m: float("nan") for m in metric_names}
         std = {m: float("nan") for m in metric_names}
 
-    coverage = len(per_run) / total_units if total_units else 1.0
+    coverage = len(per_run) / len(outcomes) if outcomes else 1.0
     return AggregateScores(
         detector=name,
         mean=mean,
@@ -398,62 +368,57 @@ def _sweep(
     name: str,
     factory: Callable[[int], object],
     datasets: list[Dataset],
-    seeds: Sequence[int],
-    metric_names: tuple[str, ...],
-    mode: str,
+    seeds: Iterable[int],
+    mode: _Mode,
     policy: RetryPolicy | None,
     checkpoint,
-    on_detection,
+    workers: int,
 ) -> AggregateScores:
-    per_run: list[DatasetScores] = []
-    failures: list[FailureReport] = []
-    cached_results: dict[tuple[str, int], DatasetScores] = {}
-    cached_failures: dict[tuple[str, int], FailureReport] = {}
-    if checkpoint is not None:
-        cached_results, cached_failures = checkpoint.load()
-
-    required = set(metric_names)
-    for seed in seeds:
-        for dataset in datasets:
-            key = (dataset.name, seed)
-            # Splice a cached unit only if it carries this sweep's metrics
-            # (a journal written by the other runner mode is re-run, not
-            # trusted).
-            if key in cached_results and required <= set(cached_results[key].metrics):
-                per_run.append(cached_results[key])
-                obs.incr("eval.checkpoint.splice_hits")
-                continue
-            if key in cached_failures:
-                failures.append(cached_failures[key])
-                obs.incr("eval.checkpoint.splice_hits")
-                obs.incr("eval.checkpoint.spliced_failures")
-                continue
-            outcome = execute_unit(
-                name,
-                factory,
-                dataset,
-                seed,
-                policy=policy,
-                mode=mode,
-                on_detection=on_detection,
-            )
-            if isinstance(outcome, FailureReport):
-                failures.append(outcome)
-                if checkpoint is not None:
-                    checkpoint.append_failure(outcome)
-            else:
-                per_run.append(outcome)
-                if checkpoint is not None:
-                    checkpoint.append_result(outcome)
-
-    return aggregate_runs(
-        name,
-        per_run,
-        failures,
-        seeds,
-        metric_names,
-        total_units=len(list(seeds)) * len(datasets),
+    seeds = list(seeds)
+    policy = policy or CRASH_THROUGH
+    cached_results, cached_failures = (
+        checkpoint.load() if checkpoint is not None else ({}, {})
     )
+
+    # Every outcome has a slot in canonical (seed, dataset) order, so the
+    # aggregate does not depend on the worker count or completion order.
+    units = [(dataset, seed) for seed in seeds for dataset in datasets]
+    outcomes: list[DatasetScores | FailureReport | None] = [None] * len(units)
+    required = set(mode.metric_names)
+    for slot, (dataset, seed) in enumerate(units):
+        key = (dataset.name, seed)
+        # Splice a cached unit only if it carries this sweep's metrics
+        # (a journal written by the other runner mode is re-run, not
+        # trusted).
+        if key in cached_results and required <= set(cached_results[key].metrics):
+            outcomes[slot] = cached_results[key]
+        elif key in cached_failures:
+            outcomes[slot] = cached_failures[key]
+            obs.incr("eval.checkpoint.spliced_failures")
+        else:
+            continue
+        obs.incr("eval.checkpoint.splice_hits")
+    pending = [slot for slot, outcome in enumerate(outcomes) if outcome is None]
+
+    def run(slot: int) -> DatasetScores | FailureReport:
+        dataset, seed = units[slot]
+        return _execute_unit(name, factory, dataset, seed, policy, mode)
+
+    def record(position: int, outcome: DatasetScores | FailureReport) -> None:
+        outcomes[pending[position]] = outcome
+        if checkpoint is None:
+            return
+        if isinstance(outcome, FailureReport):
+            checkpoint.append_failure(outcome)
+        else:
+            checkpoint.append_result(outcome)
+
+    _, errors = parallel_map(run, pending, workers, on_result=record)
+    # A unit whose worker raised or died re-runs here, so its live
+    # exception meets the policy (and crashes through without one).
+    for position in sorted(errors):
+        record(position, run(pending[position]))
+    return _aggregate(name, outcomes, seeds, mode.metric_names)
 
 
 def run_scores_on_archive(
@@ -463,6 +428,7 @@ def run_scores_on_archive(
     seeds: Iterable[int] = (0,),
     policy: RetryPolicy | None = None,
     checkpoint=None,
+    workers: int = 1,
 ) -> AggregateScores:
     """Score-based analogue of :func:`run_on_archive`.
 
@@ -472,20 +438,9 @@ def run_scores_on_archive(
     the caveat (paper Sec. II-B) that oracle-threshold numbers flatter
     every method.
 
-    ``policy`` / ``checkpoint`` enable fault isolation and incremental
-    resume; see the module docstring.
+    ``policy`` / ``checkpoint`` / ``workers`` as in :func:`run_on_archive`.
     """
-    return _sweep(
-        name,
-        factory,
-        datasets,
-        list(seeds),
-        SCORE_METRIC_NAMES,
-        "scores",
-        policy,
-        checkpoint,
-        on_detection=None,
-    )
+    return _sweep(name, factory, datasets, seeds, _SCORES, policy, checkpoint, workers)
 
 
 def run_on_archive(
@@ -493,9 +448,9 @@ def run_on_archive(
     factory: Callable[[int], Detector],
     datasets: list[Dataset],
     seeds: Iterable[int] = (0,),
-    on_detection: Callable[[Dataset, int, Detector, np.ndarray], None] | None = None,
     policy: RetryPolicy | None = None,
     checkpoint=None,
+    workers: int = 1,
 ) -> AggregateScores:
     """Evaluate ``factory(seed)`` detectors over datasets and seeds.
 
@@ -505,29 +460,20 @@ def run_on_archive(
         Builds a fresh detector for a given seed.  The paper trains a
         distinct model per dataset; we do the same (one ``fit`` per
         dataset per seed).
-    on_detection:
-        Optional hook receiving every (dataset, seed, detector,
-        predictions) — used by benches that also need timing or window
-        information.
     policy:
         When given, each (dataset, seed) unit is isolated: retried per
         the policy (with reseeding and per-attempt budgets) and, if
         exhausted, recorded as a :class:`FailureReport` while the sweep
         continues over the survivors.  Without a policy, exceptions
-        propagate (historical crash-through behavior).
+        propagate (:data:`~repro.runtime.CRASH_THROUGH`).
     checkpoint:
         Optional :class:`~repro.eval.persistence.SweepCheckpoint`;
         completed units are persisted incrementally and an interrupted
         sweep re-runs only the missing ones.
+    workers:
+        Fork workers running the pending units; ``1`` runs them serially
+        in-process.  Workers inherit ``factory`` and ``datasets`` by
+        fork, so neither needs to be picklable.  The result is the same
+        for every worker count.
     """
-    return _sweep(
-        name,
-        factory,
-        datasets,
-        list(seeds),
-        METRIC_NAMES,
-        "binary",
-        policy,
-        checkpoint,
-        on_detection,
-    )
+    return _sweep(name, factory, datasets, seeds, _BINARY, policy, checkpoint, workers)

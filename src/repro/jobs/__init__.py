@@ -14,13 +14,15 @@ Lifecycle::
 Re-submitting an identical payload dedupes onto the existing job
 (content-digest idempotency keys), and re-running a job that died —
 `kill -9` included — replays completed chunks from the journal and
-executes only the rest.  The archive sweep rides the same fabric via
-:func:`run_archive_job`.  CLI: ``repro submit`` / ``repro jobs`` /
-``repro job-result`` / ``repro job-cancel``.  See ``docs/JOBS.md``.
+executes only the rest.  Chunks fan out through
+:func:`repro.runtime.workers.parallel_map`, the fan-out the archive
+sweep (:func:`repro.eval.run_on_archive`) also uses.  CLI:
+``repro submit`` / ``repro jobs`` / ``repro job-result`` /
+``repro job-cancel``.  See ``docs/JOBS.md``.
 """
 
 from .chunking import Chunk, chunk_windows_view, plan_chunks, stitch, window_starts
-from .executor import ChunkedExecutor, ChunkFailedError, parallel_map
+from .executor import ChunkedExecutor, ChunkFailedError
 from .manager import JobManager
 from .registry import (
     BatchedSpectralResidualScorer,
@@ -41,7 +43,6 @@ from .spec import (
     idempotency_key,
 )
 from .store import JobStore
-from .sweep import run_archive_job
 
 __all__ = [
     "JobManager",
@@ -63,10 +64,8 @@ __all__ = [
     "stitch",
     "ChunkedExecutor",
     "ChunkFailedError",
-    "parallel_map",
     "register_job_detector",
     "job_detectors",
     "build_scorer",
     "BatchedSpectralResidualScorer",
-    "run_archive_job",
 ]

@@ -1,21 +1,13 @@
-"""Chunked execution with journaling, fork workers, and failure isolation.
+"""Chunked bulk scoring with journaling, fork workers, and failure isolation.
 
-Two layers:
-
-* :func:`parallel_map` — the generic fabric: run ``task(payload)`` over
-  a list of payloads on :class:`~repro.runtime.workers.ForkWorker`
-  processes (workers inherit the task and payloads through fork; only
-  indices and results cross the pipe), delivering results to the
-  parent as they complete.  Serial fallback when ``workers <= 1`` or
-  fork is unavailable.  Both the bulk-scoring
-  executor below and the archive sweep job
-  (:mod:`repro.jobs.sweep`) run on this.
-* :class:`ChunkedExecutor` — bulk scoring: executes the missing chunks
-  of a job (completed ones replay from the journal), scores each
-  chunk's windows in one batched ``score_windows`` call, journals every
-  completed chunk with an fsync before moving on, honors cooperative
-  cancellation between chunks, and isolates per-chunk failures under a
-  :class:`~repro.runtime.RetryPolicy` / :class:`~repro.runtime.RunBudget`.
+:class:`ChunkedExecutor` executes the missing chunks of a job (completed
+ones replay from the journal), scores each chunk's windows in one
+batched ``score_windows`` call, journals every completed chunk with an
+fsync before moving on, honors cooperative cancellation between chunks,
+and isolates per-chunk failures under a
+:class:`~repro.runtime.RetryPolicy` / :class:`~repro.runtime.RunBudget`.
+Chunks fan out through :func:`repro.runtime.workers.parallel_map`, in
+its serial mode when ``workers`` is 1.
 
 Worker failures are not fatal by themselves: a chunk that raises in a
 worker, or whose worker dies (SIGKILL, OOM), comes back as an
@@ -26,22 +18,18 @@ retry policy, so one poisoned chunk degrades to an attributed
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing.connection import wait
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .. import obs
-from ..runtime import RetryPolicy, RunBudget
-from ..runtime.workers import ForkWorker, WorkerDied, fork_available
+from ..runtime import CRASH_THROUGH, RetryPolicy, RunBudget
+from ..runtime.workers import fork_available, parallel_map
 from .chunking import Chunk, chunk_windows_view
 from .store import JobStore
 
-__all__ = ["ChunkFailedError", "ChunkedExecutor", "parallel_map"]
+__all__ = ["ChunkFailedError", "ChunkedExecutor"]
 
 CANCELLED_OUTCOME = "cancelled"
 COMPLETED_OUTCOME = "completed"
@@ -58,105 +46,6 @@ class ChunkFailedError(RuntimeError):
         self.chunk_index = chunk_index
         self.attempts = attempts
         self.cause = cause
-
-
-# ----------------------------------------------------------------------
-# Generic fork-worker fabric
-# ----------------------------------------------------------------------
-
-
-def _map_worker(conn, task: Callable, payloads: Sequence) -> None:
-    """Worker loop: reply ``(index, result, error)`` per index until ``None``.
-
-    Exceptions are returned, not raised — the parent decides whether to
-    retry (serially, under its policy) or fail the run.
-    """
-    while (index := conn.recv()) is not None:
-        try:
-            conn.send((index, task(payloads[index]), None))
-        except Exception as error:  # noqa: BLE001 - marshalled to the parent
-            conn.send((index, None, f"{type(error).__name__}: {error}"))
-
-
-def parallel_map(
-    task: Callable,
-    payloads: Sequence,
-    workers: int,
-    on_result: Callable[[int, object], None],
-    should_stop: Callable[[], bool] | None = None,
-) -> tuple[list[int], dict[int, str]]:
-    """Run ``task(payload)`` for every payload, streaming results.
-
-    ``on_result(index, result)`` fires in the parent as each payload
-    completes (arrival order with workers).  Workers inherit ``task``
-    and ``payloads`` through fork; only indices and results cross the
-    pipe.  Returns ``(remaining, errors)``: payload indices never
-    finished because ``should_stop`` fired, and per-index error strings
-    for payloads whose task raised in a worker or whose worker died
-    (``"WorkerDied: exit code -9"``; the worker is respawned), for the
-    parent to retry.  Serial mode raises through instead, letting the
-    caller's retry policy see the live exception.
-    """
-    errors: dict[int, str] = {}
-    if workers > 1 and not fork_available():  # pragma: no cover - non-POSIX
-        warnings.warn(
-            "multiprocessing 'fork' start method unavailable; "
-            "running chunks serially",
-            stacklevel=2,
-        )
-        workers = 1
-
-    if workers <= 1:
-        for index, payload in enumerate(payloads):
-            if should_stop is not None and should_stop():
-                return list(range(index, len(payloads))), errors
-            on_result(index, task(payload))
-        return [], errors
-
-    queue = deque(range(len(payloads)))
-    busy: dict = {}  # conn -> (worker, in-flight index)
-    spawned: list[ForkWorker] = []
-
-    def dispatch(worker: ForkWorker | None) -> None:
-        """Hand ``worker`` (a fresh fork if ``None``) the next index."""
-        if not queue:
-            return
-        if worker is None:
-            worker = ForkWorker(_map_worker, task, payloads)
-            spawned.append(worker)
-        busy[worker.conn] = (worker, queue[0])
-        with suppress(WorkerDied):  # a death surfaces on the next recv
-            worker.send(queue.popleft())
-
-    try:
-        for _ in range(min(workers, len(payloads))):
-            dispatch(None)
-        while busy:
-            for conn in wait(list(busy)):
-                worker, index = busy.pop(conn)
-                try:
-                    _, result, error = worker.recv()
-                except WorkerDied as died:
-                    error, worker = f"WorkerDied: {died}", None
-                dispatch(worker)  # the worker computes while on_result runs
-                if error is not None:
-                    errors[index] = error
-                else:
-                    on_result(index, result)
-                if should_stop is not None and should_stop():
-                    in_flight = [i for _, i in busy.values()]
-                    return sorted([*queue, *in_flight]), errors
-        return [], errors
-    finally:
-        for worker in spawned:
-            with suppress(WorkerDied):
-                worker.send(None)
-            worker.close(grace=0.1)  # a worker still mid-task is terminated
-
-
-# ----------------------------------------------------------------------
-# Bulk-scoring chunk executor
-# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -215,7 +104,8 @@ class ChunkedExecutor:
         Fork-worker count; ``1`` runs serially in-process.
     policy:
         Per-chunk :class:`~repro.runtime.RetryPolicy`.  ``None`` means
-        one attempt, crash-through (the manager records the failure).
+        :data:`~repro.runtime.CRASH_THROUGH`: one attempt, and the error
+        propagates unwrapped (the manager records the failure).
     budget:
         Template :class:`~repro.runtime.RunBudget` for the whole run; a
         fresh instance is spawned per :meth:`run` and checked between
@@ -230,30 +120,18 @@ class ChunkedExecutor:
         budget: RunBudget | None = None,
     ) -> None:
         self.workers = max(int(workers), 1)
-        self.policy = policy
+        self.policy = policy or CRASH_THROUGH
         self.budget = budget
 
-    def _retry_serial(
-        self,
-        scorer,
-        series: np.ndarray,
-        chunk: Chunk,
-        length: int,
-        stride: int,
-        job_id: str,
-    ) -> np.ndarray:
-        """Serial per-chunk execution under the retry policy."""
-        if self.policy is None:
-            return score_chunk(scorer, series, chunk, length, stride, tag=job_id)
+    def _retry_serial(self, score, chunk: Chunk) -> np.ndarray:
+        """``score(chunk)`` in-process under the retry policy."""
         last_error: BaseException | None = None
         for attempt in range(self.policy.attempts()):
             if attempt:
                 self.policy.pause(attempt)
                 obs.incr("jobs.chunks.retried")
             try:
-                return score_chunk(
-                    scorer, series, chunk, length, stride, tag=job_id
-                )
+                return score(chunk)
             except self.policy.retry_on as error:
                 last_error = error
         assert last_error is not None
@@ -292,12 +170,24 @@ class ChunkedExecutor:
             obs.incr("jobs.chunks.replayed", replayed)
         budget = self.budget.spawn() if self.budget is not None else None
 
-        def record(chunk: Chunk, scores: np.ndarray) -> None:
-            store.append_chunk(job_id, chunk.index, scores)
+        def score(chunk: Chunk) -> np.ndarray:
+            return score_chunk(scorer, series, chunk, length, stride, tag=job_id)
+
+        def retried(chunk: Chunk) -> np.ndarray:
+            return self._retry_serial(score, chunk)
+
+        def record(position: int, scores: np.ndarray) -> None:
+            store.append_chunk(job_id, pending[position].index, scores)
             obs.incr("jobs.chunks.completed")
 
-        def cancelled() -> bool:
-            return store.cancel_requested(job_id)
+        def should_stop() -> bool:
+            # Serial mode asks before each chunk, worker mode after each
+            # completion.
+            if store.cancel_requested(job_id):
+                return True
+            if budget is not None:
+                budget.check_time()
+            return False
 
         with obs.span(
             "jobs.chunks",
@@ -306,57 +196,23 @@ class ChunkedExecutor:
             pending=len(pending),
             workers=self.workers,
         ):
-            if cancelled():
-                return CANCELLED_OUTCOME
-            if self.workers <= 1 or not fork_available():
-                for chunk in pending:
-                    if cancelled():
-                        return CANCELLED_OUTCOME
-                    if budget is not None:
-                        budget.check_time()
-                    record(
-                        chunk,
-                        self._retry_serial(
-                            scorer, series, chunk, length, stride, job_id
-                        ),
-                    )
-                return COMPLETED_OUTCOME
-
-            def task(chunk: Chunk) -> list[float]:
-                scores = score_chunk(
-                    scorer, series, chunk, length, stride, tag=job_id
-                )
-                return [float(s) for s in scores]
-
-            def on_result(position: int, scores: list[float]) -> None:
-                chunk = pending[position]
-                record(chunk, np.asarray(scores, dtype=np.float64))
-                if budget is not None:
-                    budget.check_time()
-
-            _, errors = parallel_map(
-                task,
+            # A worker makes one attempt; its failures retry in the parent.
+            serial = self.workers <= 1 or not fork_available()
+            remaining, errors = parallel_map(
+                retried if serial else score,
                 pending,
                 workers=self.workers,
-                on_result=on_result,
-                should_stop=cancelled,
+                on_result=record,
+                should_stop=should_stop,
             )
-            if cancelled():
+            if remaining:
                 return CANCELLED_OUTCOME
             # Worker-side failures (raised or died) retry serially under
             # the policy so the exception type (not a marshalled string)
             # drives retry_on.
             for position in sorted(errors):
-                chunk = pending[position]
-                obs.incr("jobs.chunks.pool_failures")
-                record(
-                    chunk,
-                    self._retry_serial(
-                        scorer, series, chunk, length, stride, job_id
-                    ),
-                )
-                if cancelled():
+                if should_stop():
                     return CANCELLED_OUTCOME
-                if budget is not None:
-                    budget.check_time()
+                obs.incr("jobs.chunks.pool_failures")
+                record(position, retried(pending[position]))
             return COMPLETED_OUTCOME

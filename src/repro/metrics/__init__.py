@@ -10,7 +10,6 @@ from .thresholds import (
     fit_gpd_moments,
     pot_threshold,
     quantile_threshold,
-    sigma_threshold,
 )
 from .timing import Timer
 
@@ -36,5 +35,4 @@ __all__ = [
     "fit_gpd_moments",
     "pot_threshold",
     "quantile_threshold",
-    "sigma_threshold",
 ]

@@ -4,8 +4,8 @@ Detectors output continuous scores; turning them into binary
 predictions needs a threshold chosen *without* test labels.  Three
 standard strategies:
 
-- :func:`sigma_threshold` — mean + k·std of (training) scores, the
-  default the baselines use;
+- mean + k·std of (training) scores, the default the baselines use, is
+  :func:`repro.pipeline.scores.calibrate_threshold`;
 - :func:`quantile_threshold` — an upper quantile of the scores;
 - :func:`pot_threshold` — Peaks-Over-Threshold via a generalized Pareto
   fit to the score tail (the SPOT approach of Siffer et al., KDD 2017,
@@ -17,13 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sigma_threshold", "quantile_threshold", "pot_threshold", "fit_gpd_moments"]
-
-
-def sigma_threshold(scores: np.ndarray, sigma: float = 3.0) -> float:
-    """``mean + sigma * std`` of the scores."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(scores.mean() + sigma * scores.std())
+__all__ = ["quantile_threshold", "pot_threshold", "fit_gpd_moments"]
 
 
 def quantile_threshold(scores: np.ndarray, quantile: float = 0.99) -> float:

@@ -18,7 +18,11 @@ def spread_window_scores(
     scores: np.ndarray, starts: np.ndarray, length: int, total: int
 ) -> np.ndarray:
     """Convert per-window scores into per-point scores by averaging the
-    scores of every window covering each point."""
+    scores of every window covering each point.
+
+    ``scores`` holds one scalar per window (shape ``(n,)``) or one row of
+    per-point values per window (shape ``(n, length)``); either way a
+    point gets the mean over the windows that cover it."""
     accumulated = np.zeros(total)
     counts = np.zeros(total)
     for score, start in zip(scores, starts):

@@ -21,12 +21,13 @@ from .chaos import (
 )
 from .failures import STAGES, FailureReport, InvalidOutputError
 from .guards import DivergenceGuard
-from .policy import BudgetExceededError, RetryPolicy, RunBudget
+from .policy import CRASH_THROUGH, BudgetExceededError, RetryPolicy, RunBudget
 
 __all__ = [
     "BudgetExceededError",
     "RetryPolicy",
     "RunBudget",
+    "CRASH_THROUGH",
     "FailureReport",
     "InvalidOutputError",
     "STAGES",

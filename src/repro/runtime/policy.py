@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["BudgetExceededError", "RunBudget", "RetryPolicy"]
+__all__ = ["BudgetExceededError", "RunBudget", "RetryPolicy", "CRASH_THROUGH"]
 
 
 class BudgetExceededError(RuntimeError):
@@ -136,3 +136,8 @@ class RetryPolicy:
     def spawn_budget(self) -> RunBudget | None:
         """A fresh per-attempt budget, or ``None`` if unbudgeted."""
         return self.budget.spawn() if self.budget is not None else None
+
+
+#: One attempt, no isolation: ``except ()`` catches nothing, so every
+#: exception leaves unwrapped.  What a runner means by ``policy=None``.
+CRASH_THROUGH = RetryPolicy(max_retries=0, retry_on=())

@@ -1,19 +1,30 @@
-"""The one worker-process primitive: a forked daemon on a duplex pipe.
+"""The one worker-process primitive and the one fan-out built on it.
 
-:func:`repro.jobs.executor.parallel_map` and
-:class:`repro.serve.shard.ShardRouter` both run their workers as
-:class:`ForkWorker`.  Fork is deliberate: ``args`` are inherited, never
-pickled, so only messages cross the pipe.  A worker that dies (SIGKILL,
-OOM) closes its end of the pipe, so the parent's next ``recv`` or
-``send`` raises :class:`WorkerDied` instead of blocking.  A worker that
-hangs while alive is not detected.
+:class:`ForkWorker` is a forked daemon on a duplex pipe.  Fork is
+deliberate: ``args`` are inherited, never pickled, so only messages
+cross the pipe.  A worker that dies (SIGKILL, OOM) closes its end of
+the pipe, so the parent's next ``recv`` or ``send`` raises
+:class:`WorkerDied` instead of blocking.  A worker that hangs while
+alive is not detected.
+
+:func:`parallel_map` runs a task over a list of payloads on
+:class:`ForkWorker` processes, or serially in-process.  The archive
+sweep (:mod:`repro.eval.runner`) and the bulk-scoring executor
+(:class:`repro.jobs.ChunkedExecutor`) both fan out through it;
+:class:`repro.serve.shard.ShardRouter` runs its long-lived shards as
+:class:`ForkWorker` directly.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import warnings
+from collections import deque
+from contextlib import suppress
+from multiprocessing.connection import wait
+from typing import Callable, Sequence
 
-__all__ = ["ForkWorker", "WorkerDied", "fork_available"]
+__all__ = ["ForkWorker", "WorkerDied", "fork_available", "parallel_map"]
 
 
 def fork_available() -> bool:
@@ -67,3 +78,92 @@ class ForkWorker:
             self.process.terminate()
             self.process.join(timeout=grace)
         self.conn.close()
+
+
+def _map_worker(conn, task: Callable, payloads: Sequence) -> None:
+    """Worker loop: reply ``(index, result, error)`` per index until ``None``.
+
+    Exceptions are returned, not raised — the parent decides whether to
+    retry (serially, under its policy) or fail the run.
+    """
+    while (index := conn.recv()) is not None:
+        try:
+            conn.send((index, task(payloads[index]), None))
+        except Exception as error:  # noqa: BLE001 - marshalled to the parent
+            conn.send((index, None, f"{type(error).__name__}: {error}"))
+
+
+def parallel_map(
+    task: Callable,
+    payloads: Sequence,
+    workers: int,
+    on_result: Callable[[int, object], None],
+    should_stop: Callable[[], bool] | None = None,
+) -> tuple[list[int], dict[int, str]]:
+    """Run ``task(payload)`` for every payload, streaming results.
+
+    ``on_result(index, result)`` fires in the parent as each payload
+    completes (arrival order with workers).  Workers inherit ``task``
+    and ``payloads`` through fork; only indices and results cross the
+    pipe.  Returns ``(remaining, errors)``: payload indices never
+    finished because ``should_stop`` fired, and per-index error strings
+    for payloads whose task raised in a worker or whose worker died
+    (``"WorkerDied: exit code -9"``; the worker is respawned), for the
+    parent to retry.  Serial mode raises through instead, letting the
+    caller's retry policy see the live exception.
+    """
+    errors: dict[int, str] = {}
+    if workers > 1 and not fork_available():  # pragma: no cover - non-POSIX
+        warnings.warn(
+            "multiprocessing 'fork' start method unavailable; "
+            "running serially",
+            stacklevel=2,
+        )
+        workers = 1
+
+    if workers <= 1:
+        for index, payload in enumerate(payloads):
+            if should_stop is not None and should_stop():
+                return list(range(index, len(payloads))), errors
+            on_result(index, task(payload))
+        return [], errors
+
+    queue = deque(range(len(payloads)))
+    busy: dict = {}  # conn -> (worker, in-flight index)
+    spawned: list[ForkWorker] = []
+
+    def dispatch(worker: ForkWorker | None) -> None:
+        """Hand ``worker`` (a fresh fork if ``None``) the next index."""
+        if not queue:
+            return
+        if worker is None:
+            worker = ForkWorker(_map_worker, task, payloads)
+            spawned.append(worker)
+        busy[worker.conn] = (worker, queue[0])
+        with suppress(WorkerDied):  # a death surfaces on the next recv
+            worker.send(queue.popleft())
+
+    try:
+        for _ in range(min(workers, len(payloads))):
+            dispatch(None)
+        while busy:
+            for conn in wait(list(busy)):
+                worker, index = busy.pop(conn)
+                try:
+                    _, result, error = worker.recv()
+                except WorkerDied as died:
+                    error, worker = f"WorkerDied: {died}", None
+                dispatch(worker)  # the worker computes while on_result runs
+                if error is not None:
+                    errors[index] = error
+                else:
+                    on_result(index, result)
+                if should_stop is not None and should_stop():
+                    in_flight = [i for _, i in busy.values()]
+                    return sorted([*queue, *in_flight]), errors
+        return [], errors
+    finally:
+        for worker in spawned:
+            with suppress(WorkerDied):
+                worker.send(None)
+            worker.close(grace=0.1)  # a worker still mid-task is terminated

@@ -64,6 +64,10 @@ class TestHelpers:
         assert out[0] == 1.0
         assert out[2] == 2.0  # covered by both windows
         assert out[5] == 3.0
+        # per-point rows spread point by point
+        rows = np.array([[1.0, 1.0, 2.0, 2.0], [4.0, 4.0, 6.0, 6.0]])
+        out = spread_window_scores(rows, starts, length=4, total=6)
+        assert np.array_equal(out, [1.0, 1.0, 3.0, 3.0, 6.0, 6.0])
 
     def test_calibrate_threshold(self):
         scores = np.array([0.0, 2.0])  # mean 1, std 1

@@ -78,16 +78,6 @@ class TestRunOnArchive:
         assert row[0] == "oracle"
         assert all("±" in cell for cell in row[1:])
 
-    def test_on_detection_hook_called(self, archive):
-        calls = []
-        run_on_archive(
-            "oracle",
-            lambda s: OracleDetector(archive),
-            archive,
-            on_detection=lambda ds, seed, det, pred: calls.append(ds.name),
-        )
-        assert len(calls) == 3
-
 
 class TestTables:
     def test_render_alignment(self):

@@ -1,5 +1,5 @@
-"""CLI surface: repro submit / jobs / job-result / job-cancel, and the
-compare --workers routing through the job fabric."""
+"""CLI surface: repro submit / jobs / job-result / job-cancel, and
+compare --workers fanning the archive sweep out over fork workers."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Tests for label-free threshold calibration (sigma / quantile / POT)."""
+"""Tests for label-free threshold calibration (quantile / POT)."""
 
 from __future__ import annotations
 
@@ -9,15 +9,10 @@ from repro.metrics import (
     fit_gpd_moments,
     pot_threshold,
     quantile_threshold,
-    sigma_threshold,
 )
 
 
 class TestSimpleStrategies:
-    def test_sigma(self):
-        scores = np.array([0.0, 2.0])  # mean 1, std 1
-        assert sigma_threshold(scores, sigma=2.0) == pytest.approx(3.0)
-
     def test_quantile(self, rng):
         scores = rng.random(10_000)
         assert quantile_threshold(scores, 0.99) == pytest.approx(0.99, abs=0.01)
