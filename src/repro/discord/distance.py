@@ -99,10 +99,15 @@ def trivial_match_mask(count: int, exclusion: int) -> np.ndarray:
     """Boolean ``(count, count)`` mask of self/trivial matches to ignore.
 
     Overlapping subsequences trivially match; the standard exclusion zone
-    bans pairs closer than ``exclusion`` positions apart.
+    bans pairs closer than ``exclusion`` positions apart:
+    ``mask[i, j]`` is ``|i - j| < exclusion``.  The mask is a read-only
+    view of one ``2 * count - 1`` template, so a tiled kernel builds it
+    once per call and takes its rows per tile (``mask[start:stop]`` is a
+    view, ``mask[rows]`` a bool copy) instead of materialising an int64
+    ``|i - j|`` matrix per tile.
     """
-    idx = np.arange(count)
-    return np.abs(idx[:, None] - idx[None, :]) < exclusion
+    template = np.abs(np.arange(2 * count - 1) - (count - 1)) < exclusion
+    return np.lib.stride_tricks.sliding_window_view(template, count)[::-1]
 
 
 def correct_tiny_distances(

@@ -15,15 +15,17 @@ true discord; if ``r`` was chosen too large, it fails (returns ``None``)
 and the caller (MERLIN) retries with a smaller ``r``.
 
 Under the default ``"auto"`` discord mode (``repro.discord.kernels``)
-phase 1 runs as blocked matrix sweeps against a preallocated candidate
-buffer — one GEMM per block against the surviving candidates plus one
-intra-block GEMM, no Python-level candidate-list rebuilds — and phase 2
-is a single batched nearest-neighbor scan.  Block-level elimination is
-*order-free*: any pair at distance < ``r`` with non-trivial separation
-eliminates both members, which can only prune **more** than the
-sequential scan (every such elimination certifies a nearest neighbor
-below ``r``), never the true discord; phase 2's exact filter makes the
-final answer identical.
+phase 1 runs as tiled matrix sweeps against a preallocated candidate
+buffer — per square tile of :func:`~repro.discord.kernels.tile_rows`
+rows, one GEMM against the surviving candidates plus one intra-tile
+GEMM, no Python-level candidate-list rebuilds — and phase 2 is a
+batched nearest-neighbor scan in tiles of the same scratch budget.
+Tile-level elimination is *order-free*: any pair at distance < ``r``
+with non-trivial separation eliminates both members, which can only
+prune **more** than the sequential scan (every such elimination
+certifies a nearest neighbor below ``r``), never the true discord;
+phase 2's exact filter makes the final answer identical for every tile
+size.
 ``set_discord_mode("reference")`` restores the original sequential scan
 verbatim as the equivalence oracle.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 from .. import obs
 from .brute import Discord
-from .distance import znorm_subsequences
+from .distance import trivial_match_mask, znorm_subsequences
 from .kernels import (
     SeriesContext,
     as_context,
@@ -42,16 +44,12 @@ from .kernels import (
     default_exclusion,
     distance_profiles,
     get_discord_mode,
+    pair_sq_distances,
     snap_argmax,
+    tile_rows,
 )
 
 __all__ = ["drag"]
-
-#: Phase-1 sweep width: one GEMM of ``PHASE1_BLOCK x |candidates|`` plus
-#: one intra-block GEMM per sweep.
-PHASE1_BLOCK = 512
-#: Phase-2 refinement batch: candidates scanned per chunked NN sweep.
-PHASE2_BLOCK = 128
 
 
 def drag(
@@ -104,40 +102,41 @@ def _drag_blocked(
     r_sq = r * r
 
     # ------------------------------------------------------------------
-    # Phase 1: blocked candidate gathering into a preallocated buffer.
+    # Phase 1: tiled candidate gathering into a preallocated buffer.
     # ------------------------------------------------------------------
+    rows = min(tile_rows(), count)
+    # Non-trivial pairs inside one tile, by row offset in it.
+    far = ~trivial_match_mask(rows, exclusion)
     buffer = np.empty(count, dtype=np.int64)
     n_cand = 0
-    for block_start in range(0, count, PHASE1_BLOCK):
-        block_stop = min(block_start + PHASE1_BLOCK, count)
-        idx = np.arange(block_start, block_stop)
+    for start in range(0, count, rows):
+        local = np.arange(min(rows, count - start))
         if preprune is not None:
-            idx = idx[~preprune[block_start:block_stop]]
-            if idx.size == 0:
+            local = local[~preprune[start : start + local.size]]
+            if local.size == 0:
                 continue
-        z_block = z[idx]
+        idx = start + local
+        z_tile = z[idx]
+        n_tile = sq_norms[idx]
         killed = np.zeros(idx.size, dtype=bool)
         if n_cand:
             cand = buffer[:n_cand]
-            sq = (
-                sq_norms[idx][:, None]
-                + sq_norms[cand][None, :]
-                - 2.0 * (z_block @ z[cand].T)
-            )
-            hit = (sq < r_sq) & (np.abs(idx[:, None] - cand[None, :]) >= exclusion)
+            hit = pair_sq_distances(z_tile, n_tile, z[cand], sq_norms[cand]) < r_sq
+            # The buffer is sorted and sits wholly below this tile, so only
+            # its tail can reach into a row's exclusion zone.
+            near = np.searchsorted(cand, idx[0] - exclusion, side="right")
+            if near < n_cand:
+                hit[:, near:] &= idx[:, None] - cand[None, near:] >= exclusion
             killed |= hit.any(axis=1)
             cand_dead = hit.any(axis=0)
             if cand_dead.any():
                 survivors = cand[~cand_dead]
                 n_cand = survivors.size
                 buffer[:n_cand] = survivors
-        sq_in = (
-            sq_norms[idx][:, None]
-            + sq_norms[idx][None, :]
-            - 2.0 * (z_block @ z_block.T)
-        )
-        hit_in = (sq_in < r_sq) & (np.abs(idx[:, None] - idx[None, :]) >= exclusion)
-        killed |= hit_in.any(axis=1)
+        if local[-1] - local[0] >= exclusion:  # else every pair is trivial
+            hit_in = pair_sq_distances(z_tile, n_tile, z_tile, n_tile) < r_sq
+            hit_in &= far[local[:, None], local]
+            killed |= hit_in.any(axis=1)
         fresh = idx[~killed]
         buffer[n_cand : n_cand + fresh.size] = fresh
         n_cand += fresh.size
@@ -153,13 +152,13 @@ def _drag_blocked(
     # Phase 2: one batched NN scan over the surviving candidates.
     # ------------------------------------------------------------------
     candidates = buffer[:n_cand]
-    columns = np.arange(count)
+    band = trivial_match_mask(count, exclusion)
+    step = tile_rows(count)
     nn = np.empty(n_cand)
-    for chunk_start in range(0, n_cand, PHASE2_BLOCK):
-        chunk = candidates[chunk_start : chunk_start + PHASE2_BLOCK]
+    for chunk_start in range(0, n_cand, step):
+        chunk = candidates[chunk_start : chunk_start + step]
         sq = distance_profiles(context, length, chunk)
-        band = np.abs(chunk[:, None] - columns[None, :]) < exclusion
-        sq[band] = np.inf
+        np.copyto(sq, np.inf, where=band[chunk])
         correct_tiny_distances(context.series, length, chunk, sq)
         nn[chunk_start : chunk_start + chunk.size] = np.sqrt(
             np.maximum(sq.min(axis=1), 0.0)

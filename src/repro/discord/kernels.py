@@ -20,6 +20,11 @@ Three pieces:
   products against the cached z-norm matrix) and :func:`nn_profile` /
   :func:`nearest_neighbor_distances` (the full
   nearest-non-trivial-neighbor profile).
+- The tile rule — :func:`tile_rows` turns one scratch budget,
+  :data:`TILE_BYTES`, into the row count of every kernel's tiles (DRAG's
+  two phases, the NN profile, the left matrix profile).  Tiles take
+  their rows of one trivial-match mask built per call
+  (:func:`~repro.discord.distance.trivial_match_mask`).
 - The discord mode — ``set_discord_mode`` / ``get_discord_mode`` /
   ``discord_mode``, one of :data:`DISCORD_MODES`:
 
@@ -40,6 +45,7 @@ bit-identically to :func:`repro.discord.distance.znorm_subsequences`.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -50,6 +56,7 @@ from .distance import (
     correct_tiny_distances,
     default_exclusion,
     reference_nn_profile,
+    trivial_match_mask,
 )
 
 __all__ = [
@@ -61,8 +68,11 @@ __all__ = [
     "SeriesContext",
     "as_context",
     "snap_argmax",
+    "TILE_BYTES",
+    "tile_rows",
     "correct_tiny_distances",
     "distance_profiles",
+    "pair_sq_distances",
     "nn_profile",
     "nearest_neighbor_distances",
 ]
@@ -78,6 +88,14 @@ _mode = "auto"
 # contract needs var to dominate the cumsum error by ~1e6.  Flagged rows
 # cost one exact two-pass each — only low-variance windows pay it.
 VAR_RTOL = 1e-3
+
+#: Scratch bytes one tile of a discord kernel may fill with a float64
+#: block (:func:`tile_rows`).  Fixed 512-row tiles made 2 MB temporaries
+#: that were handed back to the OS and faulted in again on every tile,
+#: ~60k minor faults per full-series MERLIN on 1,200 points; at this
+#: budget it takes ~1k.  Picked by a sweep over both tile shapes
+#: (docs/PERF.md, "Discord tiles").
+TILE_BYTES = 128 * 1024
 
 # Discord selections treat distances within this of the maximum as tied
 # and pick the smallest index (see :func:`snap_argmax`).
@@ -99,6 +117,15 @@ def snap_argmax(values: np.ndarray) -> int:
     values = np.asarray(values)
     best = values.max()
     return int(np.flatnonzero(values >= best - TIE_TOL)[0])
+
+
+def tile_rows(width: int | None = None) -> int:
+    """Rows per tile: the most rows whose float64 ``(rows, width)`` block
+    fits in :data:`TILE_BYTES`, or with no ``width`` the side of the
+    largest square block that fits; at least one."""
+    cells = TILE_BYTES // 8
+    rows = math.isqrt(cells) if width is None else cells // max(width, 1)
+    return max(rows, 1)
 
 
 def set_discord_mode(mode: str) -> str:
@@ -223,6 +250,23 @@ def as_context(series: np.ndarray, ctx: SeriesContext | None = None) -> SeriesCo
     return SeriesContext(series)
 
 
+def pair_sq_distances(
+    a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray
+) -> np.ndarray:
+    """``(a_norms[i] + b_norms[j]) - 2 a_i.b_j`` for every row pair.
+
+    Two float64 temporaries instead of four: doubling is exact, so the
+    Gram matrix doubled in place and subtracted from the norm outer sum
+    gives the same bits as ``a_norms[:, None] + b_norms[None, :] - 2.0 *
+    (a @ b.T)``.
+    """
+    gram = a @ b.T
+    gram *= 2.0
+    sq = a_norms[:, None] + b_norms[None, :]
+    sq -= gram
+    return sq
+
+
 def distance_profiles(
     ctx: SeriesContext, length: int, indices: np.ndarray
 ) -> np.ndarray:
@@ -237,7 +281,7 @@ def distance_profiles(
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     z = ctx.znorm(length)
     sq_norms = ctx.znorm_sq_norms(length)
-    sq = sq_norms[indices][:, None] + sq_norms[None, :] - 2.0 * (z[indices] @ z.T)
+    sq = pair_sq_distances(z[indices], sq_norms[indices], z, sq_norms)
     np.maximum(sq, 0.0, out=sq)
     obs.incr("discord.kernels.profiles")
     return sq
@@ -247,7 +291,7 @@ def nn_profile(
     ctx: SeriesContext,
     length: int,
     exclusion: int,
-    chunk: int = 512,
+    chunk: int | None = None,
     want_indices: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact nearest-non-trivial-neighbor profile at ``length``.
@@ -259,23 +303,29 @@ def nn_profile(
     nearest-neighbor start index (undefined — still returned — for
     ``inf`` rows, matching ``matrix_profile``'s historical behavior).
     Under ``"reference"`` this is the loop in
-    :func:`repro.discord.distance.reference_nn_profile`.
+    :func:`repro.discord.distance.reference_nn_profile`.  ``chunk`` rows
+    per tile default to :func:`tile_rows` of the profile's width.
     """
     count = ctx.count(length)
+    if chunk is None:
+        chunk = tile_rows(count)
     if _mode == "reference":
         profile, nearest_all = reference_nn_profile(ctx.series, length, exclusion, chunk)
         obs.incr("discord.kernels.nn_profile.reference")
         return profile, nearest_all if want_indices else None
     profile = np.empty(count)
     nearest_all = np.empty(count, dtype=np.int64) if want_indices else None
-    columns = np.arange(count)
+    z = ctx.znorm(length)
+    sq_norms = ctx.znorm_sq_norms(length)
+    band = trivial_match_mask(count, exclusion)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        rows = np.arange(start, stop)
-        sq = distance_profiles(ctx, length, rows)
-        band = np.abs(rows[:, None] - columns[None, :]) < exclusion
-        sq[band] = np.inf
-        correct_tiny_distances(ctx.series, length, rows, sq)
+        # distance_profiles over a contiguous row range, on views.
+        sq = pair_sq_distances(z[start:stop], sq_norms[start:stop], z, sq_norms)
+        np.maximum(sq, 0.0, out=sq)
+        obs.incr("discord.kernels.profiles")
+        np.copyto(sq, np.inf, where=band[start:stop])
+        correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
         nearest = sq.argmin(axis=1)
         if nearest_all is not None:
             nearest_all[start:stop] = nearest
@@ -290,7 +340,7 @@ def nearest_neighbor_distances(
     series: np.ndarray,
     length: int,
     exclusion: int | None = None,
-    chunk: int = 512,
+    chunk: int | None = None,
     *,
     ctx: SeriesContext | None = None,
 ) -> np.ndarray:

@@ -42,7 +42,7 @@ def matrix_profile(
     series: np.ndarray,
     length: int,
     exclusion: int | None = None,
-    chunk: int = 512,
+    chunk: int | None = None,
     *,
     ctx: SeriesContext | None = None,
 ) -> MatrixProfile:

@@ -3,15 +3,19 @@
 
 MERLIN runs DRAG across a range of subsequence lengths, choosing the
 range threshold ``r`` adaptively so each DRAG call prunes aggressively
-yet never misses the true discord:
+yet never misses the true discord.  Distances are tracked divided by
+``sqrt(length)``, so the schedule holds for any length step:
 
-- until a first discord is found: ``r = 2 * sqrt(length)``, halved
-  until DRAG succeeds;
-- next four successful lengths: ``r = 0.99 x`` previous discord
-  distance, decayed by a further 0.99 on failure;
+- until a first discord is found: ``r = 2 * sqrt(length)``, halved on
+  each failed DRAG pass;
+- next four successful lengths: ``r = 0.99 x`` the previous discord
+  distance, decayed by 0.9 on failure;
 - afterwards: ``r = mean - 2 * std`` of the last five discord distances,
-  reduced by one std (or 5%) on failure.
+  decayed by 0.9 on failure.
 
+``r`` is floored at ``1e-6`` and every DRAG call runs at ``r`` backed off
+by :data:`LB_MARGIN`.  After ``max_retries`` failed passes, or once
+``r`` falls below ``1e-9``, the length is searched by brute force.
 Lengths where even the brute-force fallback finds no non-trivial
 neighbor (e.g. a wide exclusion zone on a short region) are skipped and
 contribute nothing to the schedule.
@@ -20,22 +24,28 @@ Under the default ``"auto"`` discord mode one
 :class:`~repro.discord.kernels.SeriesContext` is threaded across the
 whole length schedule — prefix-sum moments are computed once for the
 series, never re-derived per length — and the previous length's discord
-is reused two ways before each DRAG call:
+is reused three ways around each DRAG call:
 
 - *lower-bound seeding*: its nearest-neighbor distance at the *current*
   length is a valid lower bound on the current discord distance (the
   discord maximizes NN distance over all starts, this start included),
   so ``r`` is raised to it when the schedule's guess is lower — and DRAG
   is then guaranteed to succeed on the first call;
+- *dropping to the bound*: when the schedule's guess is higher and a
+  DRAG pass fails, ``r`` drops straight to the seeded bound instead of
+  decaying, so a seeded length takes at most two DRAG calls; only below
+  the bound (a failure there is impossible in exact arithmetic) does
+  ``r`` decay by 0.9;
 - *pre-pruning*: every subsequence within ``r`` of it already has a
   non-trivial neighbor inside the range and is handed to DRAG as dead on
   arrival (recomputed from the cached profile row on each retry since
   ``r`` shrinks).
 
-Both reuses only tighten DRAG's pruning; the discord returned is
-identical because a successful DRAG always reports the exact argmax over
-subsequences with NN distance >= ``r``.  ``set_discord_mode("reference")``
-disables them and restores the original schedule verbatim.
+These reuses only tighten DRAG's pruning or skip passes that would
+fail; the discord returned is identical because a successful DRAG
+always reports the exact argmax over subsequences with NN distance
+>= ``r``.  ``set_discord_mode("reference")`` has no seed, so it runs
+the plain schedule above verbatim.
 
 TriAD invokes MERLIN only on the short padded region around its
 suspected window, which is where the 10x inference speedup of Table IV
@@ -174,10 +184,7 @@ def merlin(
             seeded = None if prev_profile is None else prev_profile[2]
             if seeded is not None and seeded > r:
                 # Seeding never overshoots: the current discord distance
-                # is >= this bound, so DRAG succeeds immediately.  Applied
-                # once — retries decay plainly so a failure (impossible in
-                # exact arithmetic, conceivable in floating point) cannot
-                # loop at the floor.
+                # is >= this bound, so DRAG succeeds immediately.
                 r = seeded
                 obs.incr("discord.merlin.lb_seeds")
 
@@ -197,7 +204,15 @@ def merlin(
                 )
                 if found is not None:
                     break
-                r *= decay
+                if seeded is not None and r > seeded:
+                    # A failed pass means r overshot the discord distance;
+                    # the seeded bound does not, so the next pass succeeds.
+                    # At or below the bound retries decay, so a failure
+                    # there (impossible in exact arithmetic, conceivable in
+                    # floating point) cannot loop.
+                    r = seeded
+                else:
+                    r *= decay
                 if r < 1e-9:
                     break
             obs.incr("discord.drag_calls", retries)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import znorm_subsequences
-from .kernels import SeriesContext, as_context, get_discord_mode
+from .kernels import (
+    SeriesContext,
+    as_context,
+    get_discord_mode,
+    pair_sq_distances,
+    tile_rows,
+)
 
 __all__ = ["left_matrix_profile", "StreamingDiscordDetector"]
 
@@ -23,7 +29,7 @@ __all__ = ["left_matrix_profile", "StreamingDiscordDetector"]
 def left_matrix_profile(
     series: np.ndarray,
     length: int,
-    chunk: int = 256,
+    chunk: int | None = None,
     *,
     ctx: SeriesContext | None = None,
 ) -> np.ndarray:
@@ -33,7 +39,9 @@ def left_matrix_profile(
     neighbor among subsequences ``j`` with ``j + length <= i`` (fully in
     the past).  Entries with no eligible neighbor are ``inf``.
 
-    Computed in chunks of ``chunk`` query rows: each chunk's distances to
+    Computed in chunks of ``chunk`` query rows (default: the kernel
+    layer's :func:`~repro.discord.kernels.tile_rows` for the profile's
+    width): each chunk's distances to
     every eligible past subsequence are a single matrix product via the
     dot-product identity ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``, with
     the not-yet-past columns masked per row.  Memory stays
@@ -52,16 +60,16 @@ def left_matrix_profile(
         z = context.znorm(length)
         norms = context.znorm_sq_norms(length)
     count = len(z)
+    if chunk is None:
+        chunk = tile_rows(count)
     profile = np.full(count, np.inf)
     for start in range(length, count, chunk):
         stop = min(start + chunk, count)
         # Row i may match columns j <= i - length; the widest row in this
         # chunk (i = stop - 1) reaches column stop - 1 - length.
         width = stop - length
-        sq = (
-            norms[start:stop, None]
-            + norms[None, :width]
-            - 2.0 * (z[start:stop] @ z[:width].T)
+        sq = pair_sq_distances(
+            z[start:stop], norms[start:stop], z[:width], norms[:width]
         )
         rows = np.arange(start, stop)
         future = np.arange(width)[None, :] > (rows[:, None] - length)

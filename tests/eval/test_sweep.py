@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.baselines import OneLinerDetector, RandomScoreDetector
@@ -142,3 +143,29 @@ def test_worker_error_crashes_through_without_policy(archive):
 
     with pytest.raises(ValueError, match="broken detector"):
         run_scores_on_archive("broken", factory, archive, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nan_scores_fail_at_the_score_stage(archive, workers):
+    """The sweep rejects non-finite scores before evaluation, so a
+    NaN-scoring unit is a score-stage failure, not an evaluation with a
+    substituted score, whatever the worker count."""
+
+    class NaNScores(RandomScoreDetector):
+        def score_series(self, series):
+            scores = super().score_series(series)
+            scores[len(scores) // 2] = np.nan
+            return scores
+
+    result = run_scores_on_archive(
+        "nan",
+        lambda seed: NaNScores(seed=seed),
+        archive,
+        seeds=(0,),
+        workers=workers,
+        policy=RetryPolicy(max_retries=0, sleep=lambda _s: None),
+    )
+    assert result.coverage == 0.0
+    assert not result.per_run
+    failures = sorted((f.dataset, f.stage, f.error_type) for f in result.failures)
+    assert failures == sorted((d.name, "score", "InvalidOutputError") for d in archive)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from repro.signal import butter_lowpass, butterworth_smooth, filtfilt, lfilter
@@ -58,6 +60,67 @@ class TestLfilter:
         first, state = lfilter(b, a, x[:50], zi=np.zeros(2))
         second, _ = lfilter(b, a, x[50:], zi=state)
         assert np.allclose(np.concatenate([first, second]), full, atol=1e-9)
+
+
+def _numpy_scalar_lfilter(b, a, x, zi=None):
+    """The recursion over numpy scalars, as lfilter ran it before it moved
+    to Python floats: the bit-identity oracle."""
+    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if a[0] != 1.0:
+        b = b / a[0]
+        a = a / a[0]
+    n = max(len(a), len(b))
+    b = np.pad(b, (0, n - len(b)))
+    a = np.pad(a, (0, n - len(a)))
+    state = np.zeros(n - 1) if zi is None else np.array(zi, dtype=np.float64)
+    y = np.empty_like(x)
+    for i, value in enumerate(x):
+        out = b[0] * value + state[0] if n > 1 else b[0] * value
+        for j in range(n - 2):
+            state[j] = b[j + 1] * value + state[j + 1] - a[j + 1] * out
+        if n > 1:
+            state[n - 2] = b[n - 1] * value - a[n - 1] * out
+        y[i] = out
+    if zi is None:
+        return y
+    return y, state
+
+
+class TestLfilterBitIdentity:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        nb=st.integers(min_value=1, max_value=6),
+        na=st.integers(min_value=1, max_value=6),
+        length=st.integers(min_value=0, max_value=140),
+        with_zi=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_numpy_scalar_recursion(self, seed, nb, na, length, with_zi):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=nb)
+        a = rng.normal(size=na)
+        a[0] = rng.choice([1.0, rng.uniform(0.5, 2.0)])
+        x = rng.normal(size=length)
+        if with_zi:
+            zi = rng.normal(size=max(nb, na) - 1)
+            y, state = lfilter(b, a, x, zi=zi)
+            y_ref, state_ref = _numpy_scalar_lfilter(b, a, x, zi=zi)
+            assert np.array_equal(state, state_ref)
+        else:
+            y = lfilter(b, a, x)
+            y_ref = _numpy_scalar_lfilter(b, a, x)
+        assert y.dtype == np.float64 and y.shape == x.shape
+        assert np.array_equal(y, y_ref, equal_nan=True)
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_butterworth_design_with_carried_state(self, rng, order):
+        b, a = butter_lowpass(order, 0.3)
+        x = rng.normal(size=140)
+        y, state = lfilter(b, a, x, zi=np.full(order, 0.25))
+        y_ref, state_ref = _numpy_scalar_lfilter(b, a, x, zi=np.full(order, 0.25))
+        assert np.array_equal(y, y_ref) and np.array_equal(state, state_ref)
 
 
 class TestFiltfilt:
