@@ -153,6 +153,11 @@ class TriAD:
         content like live serve batches.  The encoder computes in its
         own dtype (float32); the representations come back as float64,
         the dtype every score downstream of them is computed in.
+
+        The encoder runs in the row tiles of
+        :meth:`~repro.core.encoder.TriDomainEncoder.row_tiles`, which
+        keep its activations cache-sized; the result is bytewise equal
+        to one untiled forward.
         """
         result = self._fitted()
         if cached:
@@ -163,9 +168,17 @@ class TriAD:
             features = self._pipeline.extract(
                 windows, result.plan.period, self.config.domains
             )
+        encoder = result.encoder
+        rows, _, length = next(iter(features.values())).shape
         with nn.no_grad():
-            encoded = result.encoder(features)
-        return {domain: r.data.astype(np.float64) for domain, r in encoded.items()}
+            tiles = [
+                encoder({domain: f[tile] for domain, f in features.items()})
+                for tile in encoder.row_tiles(rows, length)
+            ]
+        return {
+            domain: np.concatenate([t[domain].data for t in tiles]).astype(np.float64)
+            for domain in encoder.domains
+        }
 
     def window_similarity(
         self, windows: np.ndarray, cached: bool = False

@@ -12,6 +12,12 @@ The encoder computes in :data:`ENCODER_DTYPE` (float32): its parameters
 are built in it, its inputs are cast to it, and the whole training graph
 — activations, gradients, Adam moments — follows.  float64 is the test
 oracle, not a mode: tests reach it by monkeypatching the constant.
+
+Inference runs in row tiles (:meth:`TriDomainEncoder.row_tiles`) sized
+from one budget, :data:`INFERENCE_TILE_BYTES`.  Every encoder op is
+row-independent, so a tiled forward is bytewise equal to one untiled
+forward; training runs its fused batches whole, since backward needs
+the whole graph.
 """
 
 from __future__ import annotations
@@ -24,11 +30,25 @@ from ..nn.tensor import Tensor
 from .config import TriADConfig
 from .features import domain_channels
 
-__all__ = ["ENCODER_DTYPE", "ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
+__all__ = [
+    "ENCODER_DTYPE",
+    "INFERENCE_TILE_BYTES",
+    "ResidualBlock",
+    "DilatedConvEncoder",
+    "TriDomainEncoder",
+]
 
 #: Dtype of every encoder parameter and activation.  float32 halves the
 #: memory traffic of the conv kernels, which are most of a fit.
 ENCODER_DTYPE = np.float32
+
+#: Bytes one ``(rows, hidden_dim, length)`` activation of an inference
+#: forward may fill (:meth:`TriDomainEncoder.row_tiles`): 34 rows at
+#: length 120, 16 at 256 in float32.  A 256-row batch made ~4 MB hidden
+#: maps that were faulted in again on every call (~19k minor faults per
+#: 256-window score); tiles this size take none.  Picked by a row sweep
+#: (docs/PERF.md, "Encoder inference tiles").
+INFERENCE_TILE_BYTES = 512 * 1024
 
 
 class ResidualBlock(nn.Module):
@@ -140,6 +160,17 @@ class TriDomainEncoder(nn.Module):
         r = projected.reshape(batch, length)
         norm = ((r * r).sum(axis=-1, keepdims=True) + 1e-12).sqrt()
         return r / norm
+
+    def row_tiles(self, rows: int, length: int) -> list[slice]:
+        """Even row tiles of a ``rows``-window inference batch: as few as
+        keep each ``(tile, hidden_dim, length)`` activation within
+        :data:`INFERENCE_TILE_BYTES`, sizes differing by at most one row
+        (so no tiny tail tile).  Zero rows give one empty tile."""
+        row_bytes = self.dtype.itemsize * self.config.hidden_dim * length
+        cap = max(INFERENCE_TILE_BYTES // row_bytes, 1)
+        count = max(-(-rows // cap), 1)
+        bounds = [rows * tile // count for tile in range(count + 1)]
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def forward(self, features_by_domain: dict[str, np.ndarray]) -> dict[str, Tensor]:
         """Encode every active domain; returns ``{domain: (batch, length)}``."""

@@ -53,6 +53,7 @@ import numpy as np
 from .. import obs
 from .distance import (
     _EPS,
+    TINY_SQ,
     correct_tiny_distances,
     default_exclusion,
     reference_nn_profile,
@@ -325,13 +326,18 @@ def nn_profile(
         np.maximum(sq, 0.0, out=sq)
         obs.incr("discord.kernels.profiles")
         np.copyto(sq, np.inf, where=band[start:stop])
-        correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
+        rows = np.arange(stop - start)
         nearest = sq.argmin(axis=1)
+        best = sq[rows, nearest]
+        # A row holds an entry below TINY_SQ exactly when its minimum is
+        # below it, so only such tiles pay the correction's full scan.
+        if (best < TINY_SQ).any():
+            correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
+            nearest = sq.argmin(axis=1)
+            best = sq[rows, nearest]
         if nearest_all is not None:
             nearest_all[start:stop] = nearest
-        profile[start:stop] = np.sqrt(
-            np.maximum(sq[np.arange(stop - start), nearest], 0.0)
-        )
+        profile[start:stop] = np.sqrt(np.maximum(best, 0.0))
     obs.incr("discord.kernels.nn_profile")
     return profile, nearest_all
 

@@ -45,11 +45,13 @@ class TriADWindowScorer(WindowScorer):
     """Scores windows by representation-space distance to training data.
 
     At construction every training window is encoded once per domain;
-    at serve time the whole cross-stream batch goes through a *single*
-    encoder forward pass per domain and each window's score is its mean
-    (over domains) nearest-neighbour distance to the training
+    at serve time the whole cross-stream batch goes through one batched
+    encoder forward per domain (in the row tiles of
+    :meth:`repro.core.TriAD.representations`) and each window's score is
+    its mean (over domains) nearest-neighbour distance to the training
     representations — the online analogue of TriAD's stage-2
-    single-window selection.
+    single-window selection.  Scores are row-independent in bits: a
+    window scores the same in a batch of any size.
 
     Training windows come from the public
     :meth:`repro.core.TriAD.train_windows` accessor, which shares the
@@ -95,11 +97,16 @@ class TriADWindowScorer(WindowScorer):
         scores = np.zeros(len(windows))
         for domain, r in reps.items():
             train = self._train_reps[domain]
-            # Nearest-neighbour distance via the dot-product identity.
+            # Nearest-neighbour distance via the dot-product identity.  The
+            # dots are one stacked (1, length) @ (length, n_train) product
+            # per window: unlike one batch GEMM, its rounding does not
+            # depend on the row count, so a window scores the same bits in
+            # any batch.
+            dots = np.matmul(r[:, None, :], train.T)[:, 0, :]
             sq = (
                 (r**2).sum(axis=1)[:, None]
                 + self._train_norms[domain][None, :]
-                - 2.0 * (r @ train.T)
+                - 2.0 * dots
             )
             scores += np.sqrt(np.maximum(sq.min(axis=1), 0.0))
         return scores / max(len(reps), 1)

@@ -111,7 +111,10 @@ def residual_components(windows: np.ndarray, period: int) -> np.ndarray:
         pad_right = window - 1 - pad_left
         padded = np.pad(windows, ((0, 0), (pad_left, pad_right)), mode="reflect")
         kernel = np.ones(window) / window
-        trend = np.stack([np.convolve(row, kernel, mode="valid") for row in padded])
+        # Filled row by row, so a batch of zero windows gives (0, length).
+        trend = np.empty_like(windows)
+        for row, padded_row in zip(trend, padded):
+            row[:] = np.convolve(padded_row, kernel, mode="valid")
     detrended = windows - trend
 
     if period == 1:

@@ -27,6 +27,7 @@ from repro.discord import (
     merlin,
 )
 from repro.discord import kernels
+from repro.discord.distance import TINY_SQ, correct_tiny_distances, trivial_match_mask
 from repro.discord.kernels import nn_profile, tile_rows
 
 # The package re-exports the function ``merlin`` under the module's name.
@@ -134,6 +135,49 @@ def test_nn_profile_is_tile_invariant(seed, rows, length, exclusion):
     np.testing.assert_allclose(
         tiny_left[finite], default_left[finite], rtol=0, atol=1e-9
     )
+
+
+def always_corrected_nn_profile(ctx, length, exclusion, rows):
+    """``nn_profile``'s tile loop with the tiny-distance correction run
+    on every tile, as it was before the correction was gated."""
+    count = ctx.count(length)
+    z, norms = ctx.znorm(length), ctx.znorm_sq_norms(length)
+    band = trivial_match_mask(count, exclusion)
+    profile, nearest_all = np.empty(count), np.empty(count, dtype=np.int64)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        sq = kernels.pair_sq_distances(z[start:stop], norms[start:stop], z, norms)
+        np.maximum(sq, 0.0, out=sq)
+        np.copyto(sq, np.inf, where=band[start:stop])
+        correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
+        nearest = sq.argmin(axis=1)
+        nearest_all[start:stop] = nearest
+        profile[start:stop] = np.sqrt(
+            np.maximum(sq[np.arange(stop - start), nearest], 0.0)
+        )
+    return profile, nearest_all
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 64])
+def test_nn_profile_skips_the_correction_only_where_it_changes_nothing(rows):
+    """``nn_profile`` runs the exact tiny-distance correction only on
+    tiles where some row's minimum is below ``TINY_SQ``; its bits equal
+    correcting every tile.  A near-duplicate segment and a constant run
+    put tiny entries in a few tiles only."""
+    series = make_series(7, n=240)
+    series[150:190] = series[20:60] + 1e-6 * np.arange(40)
+    series[100:120] = series[100]
+    length, exclusion = 16, 4
+    ctx = SeriesContext(series)
+    count = ctx.count(length)
+    with tile_budget(8 * rows * count):
+        assert tile_rows(count) == rows
+        profile, indices = nn_profile(ctx, length, exclusion, want_indices=True)
+    expected, nearest = always_corrected_nn_profile(ctx, length, exclusion, rows)
+    assert profile.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(indices, nearest)
+    tiny_rows_hit = np.flatnonzero(profile < np.sqrt(TINY_SQ))
+    assert 0 < len(tiny_rows_hit) < count // 2  # some tiles skip, some correct
 
 
 class TestSeededDrop:

@@ -8,7 +8,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import TriAD, TriADConfig, obs
 from repro.jobs import (
     CANCELLED,
     FAILED,
@@ -24,6 +24,7 @@ from repro.jobs.registry import (
     build_scorer,
     resolve_plan,
 )
+from repro.pipeline import from_triad
 from repro.pipeline.contracts import WindowScorer
 from repro.pipeline.scores import spread_window_scores
 from repro.runtime import RetryPolicy
@@ -204,6 +205,48 @@ def test_job_result_equals_single_batched_pass(tmp_path, workers, sigkill, hang_
     length, stride = record.spec.window_length, record.spec.stride
     windows, starts = sliding_windows(series, length, stride)
     single = BatchedSpectralResidualScorer().score_windows(windows, ())
+    reference = spread_window_scores(single, starts, length, len(series))
+    assert np.array_equal(manager.result(record.job_id), reference)
+
+
+@pytest.fixture(scope="module")
+def triad_job():
+    """A fitted TriAD registered as a job detector, and a series long
+    enough for 1-window chunks to differ from one GEMM's rounding."""
+    rng = np.random.default_rng(2)
+    t = np.arange(2400)
+    series = np.sin(2 * np.pi * t / 40) + 0.05 * rng.standard_normal(len(t))
+    series[1700:1712] += 1.5
+    detector = TriAD(TriADConfig(epochs=1, seed=0, max_window=96)).fit(series[:1000])
+    scorer = from_triad(detector)
+    length, stride = detector.plan.length, detector.plan.stride
+    register_job_detector(
+        "test-triad",
+        lambda train, params: (scorer, length, stride),
+        plan=lambda train, params: (length, stride),
+    )
+    return scorer, series[1000:], length, stride
+
+
+@pytest.mark.parametrize("chunk_windows", [1, 7, 16])
+def test_triad_job_bit_identical_at_any_chunk_size(tmp_path, triad_job, chunk_windows):
+    """TriAD scores are row-independent in bits: a job at any chunk size
+    stitches exactly the scores of one batched pass over every window."""
+    scorer, series, length, stride = triad_job
+    manager = JobManager(tmp_path / "store")
+    spec = JobSpec(detector="test-triad", chunk_windows=chunk_windows)
+    record = manager.submit_and_run(spec, series)
+    assert record.state == SUCCEEDED, record.error
+    windows, starts = sliding_windows(series, length, stride)
+    assert record.chunks_total == -(-len(windows) // chunk_windows)
+    single = scorer.score_windows(windows, ())
+    chunked = np.concatenate(
+        [
+            scorer.score_windows(windows[i : i + chunk_windows], ())
+            for i in range(0, len(windows), chunk_windows)
+        ]
+    )
+    assert np.array_equal(chunked, single)
     reference = spread_window_scores(single, starts, length, len(series))
     assert np.array_equal(manager.result(record.job_id), reference)
 

@@ -78,6 +78,18 @@ class TestBitIdentity:
             np.testing.assert_array_equal(batched, looped)
             assert batched.tobytes() == looped.tobytes()
 
+    @pytest.mark.parametrize("period", [1, 7, 32, 64])
+    def test_zero_windows_give_an_empty_batch(self, period):
+        out = residual_components(np.empty((0, 50)), period)
+        assert out.shape == (0, 50)
+        assert out.dtype == np.float64
+
+    def test_zero_windows_extract_every_domain(self, pipeline):
+        features = pipeline.extract(np.empty((0, 96)), 32)
+        assert set(features) == set(DOMAINS)
+        for array in features.values():
+            assert array.shape[0] == 0 and array.shape[-1] == 96
+
 
 class TestMemoization:
     def test_second_call_is_a_hit_returning_the_same_object(
