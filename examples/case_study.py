@@ -20,19 +20,7 @@ import numpy as np
 from repro import TriAD, TriADConfig
 from repro.data import DatasetSpec, make_dataset
 from repro.metrics import precision_recall_f1
-
-SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: np.ndarray, width: int = 64) -> str:
-    """Render values as a unicode sparkline of at most ``width`` chars."""
-    if len(values) > width:
-        bins = np.array_split(values, width)
-        values = np.array([b.mean() for b in bins])
-    lo, hi = values.min(), values.max()
-    span = max(hi - lo, 1e-12)
-    levels = ((values - lo) / span * (len(SPARK) - 1)).astype(int)
-    return "".join(SPARK[i] for i in levels)
+from repro.viz import sparkline
 
 
 def main() -> None:
@@ -61,7 +49,7 @@ def main() -> None:
     for domain, scores in detection.similarity.items():
         deviant = int(np.argmin(scores))
         marker = f"min @ window {deviant}"
-        print(f"  {domain:9s} {sparkline(scores)}  {marker}")
+        print(f"  {domain:9s} {sparkline(scores, width=64)}  {marker}")
 
     print(f"\ncandidate windows : {detection.candidate_windows}")
     print(f"selected window   : {detection.window}")

@@ -54,10 +54,10 @@ primitives at the bottom, the batched kernels above them, then the
 algorithms in dependency order (DRAG builds on brute force, MERLIN on
 DRAG):
 
-    0  distance          (scalar primitives; reference NN oracle)
-    1  kernels           (SeriesContext, batched sweeps, mode dispatch)
+    0  distance          (scalar primitives, exclusion defaults)
+    1  kernels           (SeriesContext, batched sweeps, tile rule)
     2  brute             (Discord dataclass; exhaustive scan)
-    3  drag, matrix_profile
+    3  drag
     4  merlin
     5  streaming, topk
     6  __init__          (facade)
@@ -145,14 +145,13 @@ SERVE_SUBLAYERS: dict[str, int] = {
 }
 
 # Intra-``repro.discord`` sublayers: everything sits on the shared
-# kernel layer; the scalar primitives below it stay import-free so the
-# kernels' reference oracle has no dependencies (see module docstring).
+# kernel layer; the scalar primitives below it import nothing of the
+# discord package (see module docstring).
 DISCORD_SUBLAYERS: dict[str, int] = {
     "distance": 0,
     "kernels": 1,
     "brute": 2,
     "drag": 3,
-    "matrix_profile": 3,
     "merlin": 4,
     "streaming": 5,
     "topk": 5,

@@ -3,7 +3,6 @@ KPI/SWaT-style one-liner streams."""
 
 from .anomalies import ANOMALY_INJECTORS, inject_anomaly, list_anomaly_types
 from .archive import anomaly_length_distribution, make_archive, make_dataset
-from .benchmarks import make_nasa_dataset, make_yahoo_dataset
 from .generators import FAMILIES, generate_base, list_families
 from .kpi import make_kpi_dataset, make_swat_dataset
 from .multivariate import MultivariateDataset, make_multivariate_dataset
@@ -22,8 +21,6 @@ __all__ = [
     "list_families",
     "make_kpi_dataset",
     "make_swat_dataset",
-    "make_nasa_dataset",
-    "make_yahoo_dataset",
     "MultivariateDataset",
     "make_multivariate_dataset",
     "Dataset",

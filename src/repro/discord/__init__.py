@@ -1,8 +1,7 @@
-"""Discord discovery algorithms: brute force, DRAG, MERLIN and the
-matrix profile — all built on the shared chunked distance-kernel
-layer in :mod:`repro.discord.kernels` (``set_discord_mode`` selects the
-implementation family; ``reference`` restores the original scalar
-loops)."""
+"""Discord discovery algorithms: brute force, DRAG, MERLIN, top-k and
+the streaming left matrix profile — all built on the one chunked
+distance-kernel layer in :mod:`repro.discord.kernels`.  The original
+scalar loops they are checked against live under ``tests/discord``."""
 
 from .brute import Discord, brute_force_discord
 from .distance import (
@@ -12,15 +11,7 @@ from .distance import (
     znorm_subsequences,
 )
 from .drag import drag
-from .kernels import (
-    DISCORD_MODES,
-    SeriesContext,
-    discord_mode,
-    get_discord_mode,
-    nearest_neighbor_distances,
-    set_discord_mode,
-)
-from .matrix_profile import MatrixProfile, matrix_profile
+from .kernels import SeriesContext, nearest_neighbor_distances
 from .merlin import MerlinResult, merlin
 from .streaming import StreamingDiscordDetector, left_matrix_profile
 from .topk import top_k_discords
@@ -31,19 +22,13 @@ __all__ = [
     "top_k_discords",
     "Discord",
     "brute_force_discord",
-    "DISCORD_MODES",
     "SeriesContext",
-    "discord_mode",
-    "get_discord_mode",
-    "set_discord_mode",
     "default_exclusion",
     "nearest_neighbor_distances",
     "trivial_match_mask",
     "znorm_distance",
     "znorm_subsequences",
     "drag",
-    "MatrixProfile",
-    "matrix_profile",
     "MerlinResult",
     "merlin",
 ]

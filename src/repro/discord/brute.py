@@ -4,8 +4,8 @@ A *discord* is the subsequence whose distance to its nearest non-trivial
 neighbor is largest.  This module computes it directly from the full
 nearest-neighbor profile; DRAG and MERLIN must agree with it (asserted
 in the test suite) while doing less work.  The profile itself comes from
-the shared kernel layer, so the scan runs under whatever discord mode is
-active (``reference`` restores the original scalar path).
+the shared kernel layer (:func:`~repro.discord.kernels.
+nearest_neighbor_distances`).
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def brute_force_discord(
             f"at length={length} under exclusion={effective} — shorten the "
             "exclusion zone or provide a longer series"
         )
-    # Tie-snapped so every kernel mode reports the same discord when the
-    # top pair is mutual (exactly tied in real arithmetic).
+    # Tie-snapped so the kernels and their test oracle report the same
+    # discord when the top pair is mutual (exactly tied in real
+    # arithmetic).
     profile = np.where(finite, profile, -np.inf)
     index = snap_argmax(profile)
     return Discord(index=index, length=length, distance=float(profile[index]))

@@ -7,15 +7,11 @@ distance reduces to ``2l - 2 * dot``, which lets nearest-neighbor scans
 run as matrix products.
 
 This module is the *bottom* of the discord sublayer stack: it holds the
-z-normalization helpers, the one documented home for the exclusion-zone
-defaults (:func:`default_exclusion`), the exact recompute of
-near-duplicate distances (:func:`correct_tiny_distances`), and the
-original :func:`nearest_neighbor_distances` loop, kept as the
-equivalence oracle for the batched kernels in
-:mod:`repro.discord.kernels`.  New code should call the mode-aware
-``nearest_neighbor_distances`` re-exported from :mod:`repro.discord`
-(defined in ``kernels``); importing it from here always gets the
-reference path.
+z-normalization helpers, the trivial-match mask, the one documented
+home for the exclusion-zone defaults (:func:`default_exclusion`) and
+the exact recompute of near-duplicate distances
+(:func:`correct_tiny_distances`) that the batched kernels in
+:mod:`repro.discord.kernels` build on.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .. import obs
 __all__ = [
     "znorm_subsequences",
     "znorm_distance",
-    "nearest_neighbor_distances",
     "trivial_match_mask",
     "default_exclusion",
     "correct_tiny_distances",
@@ -56,8 +51,7 @@ def default_exclusion(length: int, convention: str = "discord") -> int:
       et al., ICDM 2020), used by DRAG, MERLIN and
       ``top_k_discords``.
     - ``"profile"`` — zone is ``max(length // 2, 1)``: the common
-      matrix-profile convention, used by ``nearest_neighbor_distances``
-      and ``matrix_profile``.
+      matrix-profile convention, used by ``nearest_neighbor_distances``.
     """
     if convention == "discord":
         return max(int(length), 1)
@@ -118,10 +112,10 @@ def correct_tiny_distances(
     ``sq[q, j]`` must hold squared z-norm distances from subsequence
     ``indices[q]`` of ``series`` to subsequence ``j``.  The recomputed
     entries subtract and square the two z-normed windows, so tiny
-    distances (near-duplicate subsequences) come out the same in every
-    mode.  Call *after* masking the trivial band — overlapping
-    neighbors are near duplicates by construction and would otherwise
-    all be recomputed.
+    distances (near-duplicate subsequences) come out the same in the
+    kernels and in their test oracle.  Call *after* masking the trivial
+    band — overlapping neighbors are near duplicates by construction and
+    would otherwise all be recomputed.
     """
     rows, cols = np.nonzero(sq < TINY_SQ)
     if rows.size == 0:
@@ -138,66 +132,3 @@ def correct_tiny_distances(
     )
     sq[rows, cols] = ((zi - zj) ** 2).sum(axis=1)
     obs.incr("discord.kernels.tiny_recomputes", int(rows.size))
-
-
-def nearest_neighbor_distances(
-    series: np.ndarray,
-    length: int,
-    exclusion: int | None = None,
-    chunk: int = 512,
-) -> np.ndarray:
-    """Exact nearest-non-trivial-neighbor distance for every subsequence.
-
-    This is the matrix profile of ``series`` at the given length,
-    computed in chunks so memory stays ``O(chunk * count)``.
-
-    Parameters
-    ----------
-    exclusion:
-        Half-width of the trivial-match zone; defaults to
-        ``default_exclusion(length, "profile")`` (``length // 2``, the
-        common matrix-profile convention).
-
-    Returns
-    -------
-    numpy.ndarray
-        One distance per subsequence.  **Contract:** a row whose every
-        pair falls inside the exclusion zone — possible whenever
-        ``count <= 2 * exclusion - 1``, i.e. a short series under a wide
-        zone — has *no* non-trivial neighbor and its entry is ``inf``,
-        not an error.  Callers that need a finite profile must filter
-        with ``np.isfinite`` (see :func:`~repro.discord.brute.
-        brute_force_discord`, which raises when nothing is finite).
-    """
-    if exclusion is None:
-        exclusion = default_exclusion(length, "profile")
-    return reference_nn_profile(series, length, exclusion, chunk)[0]
-
-
-def reference_nn_profile(
-    series: np.ndarray, length: int, exclusion: int, chunk: int = 512
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reference loop behind :func:`nearest_neighbor_distances`:
-    ``(profile, nearest)``, each row's NN distance and NN start index
-    (undefined — still returned — for ``inf`` rows)."""
-    z = znorm_subsequences(series, length)
-    count = len(z)
-    norms = (z**2).sum(axis=1)
-    profile = np.empty(count)
-    nearest_all = np.empty(count, dtype=np.int64)
-    columns = np.arange(count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        # Squared distances via the dot-product identity, exact where
-        # they are tiny.
-        dots = z[start:stop] @ z.T
-        sq = norms[start:stop, None] + norms[None, :] - 2.0 * dots
-        rows = np.arange(start, stop)
-        sq[np.abs(rows[:, None] - columns[None, :]) < exclusion] = np.inf
-        correct_tiny_distances(series, length, rows, sq)
-        nearest = sq.argmin(axis=1)
-        nearest_all[start:stop] = nearest
-        profile[start:stop] = np.sqrt(
-            np.maximum(sq[np.arange(stop - start), nearest], 0.0)
-        )
-    return profile, nearest_all

@@ -14,8 +14,7 @@ If ``r`` is at most the true discord distance, DRAG provably returns the
 true discord; if ``r`` was chosen too large, it fails (returns ``None``)
 and the caller (MERLIN) retries with a smaller ``r``.
 
-Under the default ``"auto"`` discord mode (``repro.discord.kernels``)
-phase 1 runs as tiled matrix sweeps against a preallocated candidate
+Phase 1 runs as tiled matrix sweeps against a preallocated candidate
 buffer — per square tile of :func:`~repro.discord.kernels.tile_rows`
 rows, one GEMM against the surviving candidates plus one intra-tile
 GEMM, no Python-level candidate-list rebuilds — and phase 2 is a
@@ -25,9 +24,8 @@ with non-trivial separation eliminates both members, which can only
 prune **more** than the sequential scan (every such elimination
 certifies a nearest neighbor below ``r``), never the true discord;
 phase 2's exact filter makes the final answer identical for every tile
-size.
-``set_discord_mode("reference")`` restores the original sequential scan
-verbatim as the equivalence oracle.
+size.  The original sequential scan is kept under ``tests/discord`` as
+the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -36,14 +34,13 @@ import numpy as np
 
 from .. import obs
 from .brute import Discord
-from .distance import trivial_match_mask, znorm_subsequences
+from .distance import trivial_match_mask
 from .kernels import (
     SeriesContext,
     as_context,
     correct_tiny_distances,
     default_exclusion,
     distance_profiles,
-    get_discord_mode,
     pair_sq_distances,
     snap_argmax,
     tile_rows,
@@ -74,13 +71,10 @@ def drag(
     preprune:
         Optional boolean mask of subsequences already known to have a
         non-trivial neighbor closer than ``r`` (e.g. from a previous
-        length's discord profile); they are skipped outright.  Only
-        honored by the kernel paths — the reference oracle ignores it.
+        length's discord profile); they are skipped outright.
     """
     if exclusion is None:
         exclusion = default_exclusion(length, "discord")
-    if get_discord_mode() == "reference":
-        return _drag_reference(series, length, r, exclusion)
     return _drag_blocked(series, length, r, exclusion, ctx, preprune)
 
 
@@ -164,9 +158,9 @@ def _drag_blocked(
             np.maximum(sq.min(axis=1), 0.0)
         )
     # Candidates whose zone bans every pair have no neighbor at all (the
-    # reference skips them); candidates with a neighbor inside the range
+    # oracle skips them); candidates with a neighbor inside the range
     # fail the >= r filter.  Tie-snapped argmax in ascending candidate
-    # order keeps the winner identical across discord modes.
+    # order keeps the winner identical to the oracle's.
     eligible = np.isfinite(nn) & (nn >= r)
     if not eligible.any():
         obs.incr("discord.drag.failures")
@@ -176,70 +170,3 @@ def _drag_blocked(
     return Discord(
         index=int(candidates[best]), length=length, distance=float(nn[best])
     )
-
-
-def _drag_reference(
-    series: np.ndarray, length: int, r: float, exclusion: int
-) -> Discord | None:
-    """The original sequential DRAG, verbatim — the equivalence oracle."""
-    z = znorm_subsequences(series, length)
-    count = len(z)
-    if count <= exclusion:
-        obs.incr("discord.drag.degenerate")
-        return None
-
-    # ------------------------------------------------------------------
-    # Phase 1: candidate gathering.
-    # ------------------------------------------------------------------
-    candidates: list[int] = []
-    candidate_matrix: list[np.ndarray] = []
-    r_sq = r * r
-    for j in range(count):
-        survives = True
-        if candidates:
-            matrix = np.asarray(candidate_matrix)
-            sq = ((matrix - z[j]) ** 2).sum(axis=1)
-            indices = np.asarray(candidates)
-            nontrivial = np.abs(indices - j) >= exclusion
-            hit = nontrivial & (sq < r_sq)
-            if hit.any():
-                survives = False
-                keep = ~hit
-                candidates = [c for c, k in zip(candidates, keep) if k]
-                candidate_matrix = [m for m, k in zip(candidate_matrix, keep) if k]
-        if survives:
-            candidates.append(j)
-            candidate_matrix.append(z[j])
-    # Candidate-set size and prune rate are what make the Table IV
-    # pruning argument measurable: a healthy r leaves a tiny candidate
-    # set out of `count` subsequences.
-    obs.observe("discord.drag.candidates", len(candidates))
-    if count:
-        obs.observe("discord.drag.prune_rate", 1.0 - len(candidates) / count)
-    if not candidates:
-        obs.incr("discord.drag.failures")
-        return None
-
-    # ------------------------------------------------------------------
-    # Phase 2: refinement — exact NN distance per candidate.
-    # ------------------------------------------------------------------
-    survivors: list[tuple[int, float]] = []
-    all_indices = np.arange(count)
-    for c in candidates:
-        nontrivial = np.abs(all_indices - c) >= exclusion
-        sq = ((z[nontrivial] - z[c]) ** 2).sum(axis=1)
-        if sq.size == 0:
-            continue
-        nn = float(np.sqrt(max(sq.min(), 0.0)))
-        if nn < r:
-            continue  # had a neighbor inside the range after all
-        survivors.append((c, nn))
-    if not survivors:
-        obs.incr("discord.drag.failures")
-        return None
-    # Same tie-snapped selection as the kernel paths (see snap_argmax):
-    # mutual-NN pairs are exact ties, and each mode's rounding would
-    # otherwise pick a different winner.
-    best = snap_argmax(np.asarray([nn for _, nn in survivors]))
-    c, nn = survivors[best]
-    return Discord(index=int(c), length=length, distance=nn)

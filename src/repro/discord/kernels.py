@@ -4,7 +4,7 @@ Every discord algorithm in this package reduces to the same primitive:
 z-normalized Euclidean distances between subsequences, computed via the
 dot-product identity ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``.  This
 module is the one home for that math — one production kernel, as
-``repro.nn.conv1d`` has — so DRAG, MERLIN, the matrix profile and the
+``repro.nn.conv1d`` has — so DRAG, MERLIN, brute force, top-k and the
 streaming detector all draw from one set of batched sweeps instead of
 hand-rolling their own loops.
 
@@ -25,15 +25,11 @@ Three pieces:
   two phases, the NN profile, the left matrix profile).  Tiles take
   their rows of one trivial-match mask built per call
   (:func:`~repro.discord.distance.trivial_match_mask`).
-- The discord mode — ``set_discord_mode`` / ``get_discord_mode`` /
-  ``discord_mode``, one of :data:`DISCORD_MODES`:
 
-  - ``"auto"`` (default) — the batched sweeps above;
-  - ``"reference"`` — the original scalar/loop implementations, kept
-    verbatim in each algorithm module as the equivalence oracle.
-
-Numerical contract (asserted by the hypothesis suite in
-``tests/discord``): the batched kernels match the reference oracle with
+The original scalar/loop implementations live under ``tests/discord``
+as the equivalence oracle; tests swap them in by patching this
+package's module attributes.  Numerical contract (asserted by the
+hypothesis suite there): the batched kernels match the oracle with
 discord indices identical and distances within ``1e-9`` on
 reasonably-scaled series.  Prefix-sum moments lose precision when a
 window's variance is tiny relative to its mean square (catastrophic
@@ -44,7 +40,6 @@ bit-identically to :func:`repro.discord.distance.znorm_subsequences`.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import OrderedDict
 
@@ -56,15 +51,10 @@ from .distance import (
     TINY_SQ,
     correct_tiny_distances,
     default_exclusion,
-    reference_nn_profile,
     trivial_match_mask,
 )
 
 __all__ = [
-    "DISCORD_MODES",
-    "set_discord_mode",
-    "get_discord_mode",
-    "discord_mode",
     "default_exclusion",
     "SeriesContext",
     "as_context",
@@ -77,9 +67,6 @@ __all__ = [
     "nn_profile",
     "nearest_neighbor_distances",
 ]
-
-DISCORD_MODES = ("auto", "reference")
-_mode = "auto"
 
 # Prefix-sum variance is recomputed exactly (two-pass) for windows where
 # cancellation could dominate: var <= VAR_RTOL * (E[x^2] + 1).  The
@@ -109,10 +96,10 @@ def snap_argmax(values: np.ndarray) -> int:
 
     A discord's nearest-neighbor pair is *mutual* whenever nothing sits
     closer to either end, so the top two profile values are often equal
-    in real arithmetic — and each kernel mode's distinct rounding would
-    then pick a different winner under a plain ``argmax``.  Snapping the
-    selection makes every mode (the reference oracle included) return
-    the same discord index, which is the equivalence contract
+    in real arithmetic — and the kernels' and the test oracle's distinct
+    rounding would then pick different winners under a plain
+    ``argmax``.  Snapping the selection makes both return the same
+    discord index, which is the equivalence contract
     ``tests/discord/test_kernel_properties.py`` asserts.
     """
     values = np.asarray(values)
@@ -127,31 +114,6 @@ def tile_rows(width: int | None = None) -> int:
     cells = TILE_BYTES // 8
     rows = math.isqrt(cells) if width is None else cells // max(width, 1)
     return max(rows, 1)
-
-
-def set_discord_mode(mode: str) -> str:
-    """Select the discord mode (one of :data:`DISCORD_MODES`); returns
-    the previous one."""
-    global _mode
-    if mode not in DISCORD_MODES:
-        raise ValueError(f"unknown discord mode {mode!r}; choose from {DISCORD_MODES}")
-    previous, _mode = _mode, mode
-    return previous
-
-
-def get_discord_mode() -> str:
-    """Return the active discord mode."""
-    return _mode
-
-
-@contextlib.contextmanager
-def discord_mode(mode: str):
-    """Context manager holding ``mode`` for the ``with`` block."""
-    previous = set_discord_mode(mode)
-    try:
-        yield
-    finally:
-        set_discord_mode(previous)
 
 
 class SeriesContext:
@@ -276,8 +238,8 @@ def distance_profiles(
     Returns a ``(len(indices), count)`` matrix, clamped at zero: one
     matrix product of the queries' rows of the cached z-norm matrix
     against all of it.  No exclusion zone is applied — callers mask
-    their own trivial-match band.  The reference oracles live at the
-    algorithm level (the loops kept in each module), not down here.
+    their own trivial-match band.  The test oracles live at the
+    algorithm level (DRAG's scan, the NN profile loop), not down here.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     z = ctx.znorm(length)
@@ -289,33 +251,19 @@ def distance_profiles(
 
 
 def nn_profile(
-    ctx: SeriesContext,
-    length: int,
-    exclusion: int,
-    chunk: int | None = None,
-    want_indices: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    ctx: SeriesContext, length: int, exclusion: int, chunk: int | None = None
+) -> np.ndarray:
     """Exact nearest-non-trivial-neighbor profile at ``length``.
 
     Rows whose every pair falls inside the exclusion zone are ``inf``
-    (the short-series contract of
-    :func:`repro.discord.distance.nearest_neighbor_distances`, preserved
-    in both modes).  With ``want_indices``, also returns each row's
-    nearest-neighbor start index (undefined — still returned — for
-    ``inf`` rows, matching ``matrix_profile``'s historical behavior).
-    Under ``"reference"`` this is the loop in
-    :func:`repro.discord.distance.reference_nn_profile`.  ``chunk`` rows
-    per tile default to :func:`tile_rows` of the profile's width.
+    (the short-series contract of :func:`nearest_neighbor_distances`).
+    ``chunk`` rows per tile default to :func:`tile_rows` of the
+    profile's width.
     """
     count = ctx.count(length)
     if chunk is None:
         chunk = tile_rows(count)
-    if _mode == "reference":
-        profile, nearest_all = reference_nn_profile(ctx.series, length, exclusion, chunk)
-        obs.incr("discord.kernels.nn_profile.reference")
-        return profile, nearest_all if want_indices else None
     profile = np.empty(count)
-    nearest_all = np.empty(count, dtype=np.int64) if want_indices else None
     z = ctx.znorm(length)
     sq_norms = ctx.znorm_sq_norms(length)
     band = trivial_match_mask(count, exclusion)
@@ -326,20 +274,15 @@ def nn_profile(
         np.maximum(sq, 0.0, out=sq)
         obs.incr("discord.kernels.profiles")
         np.copyto(sq, np.inf, where=band[start:stop])
-        rows = np.arange(stop - start)
-        nearest = sq.argmin(axis=1)
-        best = sq[rows, nearest]
+        best = sq.min(axis=1)
         # A row holds an entry below TINY_SQ exactly when its minimum is
         # below it, so only such tiles pay the correction's full scan.
         if (best < TINY_SQ).any():
             correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
-            nearest = sq.argmin(axis=1)
-            best = sq[rows, nearest]
-        if nearest_all is not None:
-            nearest_all[start:stop] = nearest
+            best = sq.min(axis=1)
         profile[start:stop] = np.sqrt(np.maximum(best, 0.0))
     obs.incr("discord.kernels.nn_profile")
-    return profile, nearest_all
+    return profile
 
 
 def nearest_neighbor_distances(
@@ -350,12 +293,17 @@ def nearest_neighbor_distances(
     *,
     ctx: SeriesContext | None = None,
 ) -> np.ndarray:
-    """Mode-aware nearest-neighbor profile (the package entry point).
+    """Exact nearest-non-trivial-neighbor distance for every subsequence
+    (the matrix profile of ``series`` at ``length``; the package entry
+    point).
 
-    Same contract as :func:`repro.discord.distance.
-    nearest_neighbor_distances` (which remains the reference oracle):
-    one distance per subsequence, ``inf`` where the exclusion zone bans
-    every pair.  ``exclusion`` defaults to the matrix-profile convention
+    **Contract:** a row whose every pair falls inside the exclusion zone
+    — possible whenever ``count <= 2 * exclusion - 1``, i.e. a short
+    series under a wide zone — has *no* non-trivial neighbor and its
+    entry is ``inf``, not an error.  Callers that need a finite profile
+    must filter with ``np.isfinite`` (see :func:`~repro.discord.brute.
+    brute_force_discord`, which raises when nothing is finite).
+    ``exclusion`` defaults to the matrix-profile convention
     via :func:`default_exclusion` — explicitly, so the zone each
     algorithm runs under is auditable in one place.  Pass a shared
     :class:`SeriesContext` to reuse moment and z-norm caches across
@@ -363,4 +311,4 @@ def nearest_neighbor_distances(
     """
     if exclusion is None:
         exclusion = default_exclusion(length, "profile")
-    return nn_profile(as_context(series, ctx), length, exclusion, chunk=chunk)[0]
+    return nn_profile(as_context(series, ctx), length, exclusion, chunk=chunk)

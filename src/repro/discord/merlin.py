@@ -20,8 +20,7 @@ Lengths where even the brute-force fallback finds no non-trivial
 neighbor (e.g. a wide exclusion zone on a short region) are skipped and
 contribute nothing to the schedule.
 
-Under the default ``"auto"`` discord mode one
-:class:`~repro.discord.kernels.SeriesContext` is threaded across the
+One :class:`~repro.discord.kernels.SeriesContext` is threaded across the
 whole length schedule — prefix-sum moments are computed once for the
 series, never re-derived per length — and the previous length's discord
 is reused three ways around each DRAG call:
@@ -44,8 +43,8 @@ is reused three ways around each DRAG call:
 These reuses only tighten DRAG's pruning or skip passes that would
 fail; the discord returned is identical because a successful DRAG
 always reports the exact argmax over subsequences with NN distance
->= ``r``.  ``set_discord_mode("reference")`` has no seed, so it runs
-the plain schedule above verbatim.
+>= ``r``.  The test oracle (``tests/discord``) runs without a context
+or seed, so it takes the plain schedule above verbatim.
 
 TriAD invokes MERLIN only on the short padded region around its
 suspected window, which is where the 10x inference speedup of Table IV
@@ -61,7 +60,7 @@ import numpy as np
 from .. import obs
 from .brute import Discord, brute_force_discord
 from .drag import drag
-from .kernels import SeriesContext, distance_profiles, get_discord_mode
+from .kernels import SeriesContext, distance_profiles
 
 __all__ = ["MerlinResult", "merlin"]
 
@@ -72,10 +71,10 @@ __all__ = ["MerlinResult", "merlin"]
 #: ``2 * sqrt(length)`` halves to ``sqrt(length)``, the distance between
 #: a constant (all-zero after z-normalization) subsequence and any
 #: other.  At ``r`` equal to a tied discord distance every tied
-#: candidate sits on DRAG's ``< r`` elimination knife edge, where
-#: per-mode rounding decides differently.  Backing off by a sliver keeps
-#: the guarantee (any ``r`` <= the true discord distance is safe) and
-#: costs only marginal pruning.
+#: candidate sits on DRAG's ``< r`` elimination knife edge, where the
+#: kernel's and the test oracle's rounding decide differently.  Backing
+#: off by a sliver keeps the guarantee (any ``r`` <= the true discord
+#: distance is safe) and costs only marginal pruning.
 LB_MARGIN = 1e-6
 
 
@@ -143,9 +142,8 @@ def merlin(
         l for l in range(min_length, max_length + 1, step) if 2 * l <= len(series)
     ]
     result = MerlinResult()
-    # One moment/z-norm cache for the whole sweep; the reference mode runs
-    # the original per-length path untouched.
-    ctx = None if get_discord_mode() == "reference" else SeriesContext(series)
+    # One moment/z-norm cache for the whole sweep.
+    ctx = SeriesContext(series)
     prev_index: int | None = None
     # Track *length-normalized* discord distances (z-norm distances grow
     # like sqrt(length)), so the schedule stays valid for any step size.
@@ -177,7 +175,7 @@ def merlin(
             r = max(r, 1e-6)
 
             prev_profile = None
-            if ctx is not None and prev_index is not None:
+            if prev_index is not None:
                 prev_profile = _prev_discord_profile(
                     ctx, prev_index, length, exclusion
                 )

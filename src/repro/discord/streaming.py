@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import znorm_subsequences
-from .kernels import (
-    SeriesContext,
-    as_context,
-    get_discord_mode,
-    pair_sq_distances,
-    tile_rows,
-)
+from .kernels import SeriesContext, as_context, pair_sq_distances, tile_rows
 
 __all__ = ["left_matrix_profile", "StreamingDiscordDetector"]
 
@@ -46,19 +39,13 @@ def left_matrix_profile(
     dot-product identity ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``, with
     the not-yet-past columns masked per row.  Memory stays
     ``O(chunk * count)`` and the interpreter loop runs ``count / chunk``
-    times instead of ``count`` times.  Under the ``"auto"`` mode the z-norm
-    matrix and squared norms come from the shared (optionally caller-
-    provided) :class:`~repro.discord.kernels.SeriesContext`; the
-    ``reference`` mode recomputes them locally, as this function always
-    did.
+    times instead of ``count`` times.  The z-norm matrix and squared
+    norms come from the shared (optionally caller-provided)
+    :class:`~repro.discord.kernels.SeriesContext`.
     """
-    if get_discord_mode() == "reference":
-        z = znorm_subsequences(series, length)
-        norms = (z**2).sum(axis=1)
-    else:
-        context = as_context(series, ctx)
-        z = context.znorm(length)
-        norms = context.znorm_sq_norms(length)
+    context = as_context(series, ctx)
+    z = context.znorm(length)
+    norms = context.znorm_sq_norms(length)
     count = len(z)
     if chunk is None:
         chunk = tile_rows(count)

@@ -83,6 +83,7 @@ def job_detectors() -> tuple[str, ...]:
 
 
 def build_scorer(name: str, train_series: np.ndarray, params: dict) -> BuiltScorer:
+    """Build the job detector registered as ``name`` on ``train_series``."""
     if name not in _REGISTRY:
         raise KeyError(
             f"unknown job detector {name!r}; known: {', '.join(job_detectors())}"

@@ -1,16 +1,11 @@
 """Evaluation metrics: point-wise F1, PA, PA%K (+AUC), affiliation,
-event accuracy, timing."""
+event hits, timing."""
 
 from .adjustment import PaKCurve, label_events, pa_k, pa_k_auc, point_adjust
 from .affiliation import AffiliationScore, affiliation_metrics
 from .auc import average_precision, best_f1_over_thresholds, roc_auc
-from .events import event_accuracy, event_detected, window_hits_event
+from .events import event_detected, window_hits_event
 from .pointwise import Confusion, confusion, f1_score, precision_recall_f1
-from .thresholds import (
-    fit_gpd_moments,
-    pot_threshold,
-    quantile_threshold,
-)
 from .timing import Timer
 
 __all__ = [
@@ -21,7 +16,6 @@ __all__ = [
     "point_adjust",
     "AffiliationScore",
     "affiliation_metrics",
-    "event_accuracy",
     "event_detected",
     "window_hits_event",
     "Confusion",
@@ -32,7 +26,4 @@ __all__ = [
     "average_precision",
     "best_f1_over_thresholds",
     "roc_auc",
-    "fit_gpd_moments",
-    "pot_threshold",
-    "quantile_threshold",
 ]

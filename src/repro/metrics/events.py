@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["event_detected", "window_hits_event", "event_accuracy"]
+__all__ = ["event_detected", "window_hits_event"]
 
 DEFAULT_MARGIN = 100
 
@@ -40,10 +40,3 @@ def window_hits_event(
     w_start, w_end = window
     start, end = event
     return w_start < end + margin and w_end > start - margin
-
-
-def event_accuracy(hits: list[bool]) -> float:
-    """Fraction of datasets whose event was detected."""
-    if not hits:
-        return 0.0
-    return float(np.mean([bool(h) for h in hits]))

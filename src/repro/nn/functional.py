@@ -2,7 +2,7 @@
 
 Includes the dilated same-padding 1-D convolution at the heart of TriAD's
 encoders, numerically-stable softmax family ops with custom backward
-rules, dropout, and the loss helpers shared by the baselines.
+rules, and the loss helpers shared by the baselines.
 
 ``conv1d`` runs one kernel, **taps**: ``K`` accumulated batched GEMMs
 directly against strided views of the padded input (see docs/PERF.md).
@@ -24,19 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, is_grad_enabled
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "conv1d",
     "residual_block",
     "softmax",
     "log_softmax",
-    "logsumexp",
-    "dropout",
     "mse_loss",
-    "l1_loss",
-    "binary_cross_entropy",
-    "huber_loss",
     "cosine_similarity",
 ]
 
@@ -382,69 +377,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable ``log(sum(exp(x)))`` along ``axis``."""
-    x = as_tensor(x)
-    peak = x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(x.data - peak)
-    total = exp.sum(axis=axis, keepdims=True)
-    out_data = np.log(total) + peak
-    soft = exp / total
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad if keepdims else np.expand_dims(grad, axis)
-        x._accumulate(g * soft)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability ``p``, rescale survivors."""
-    if not training or p <= 0.0:
-        return x
-    x = as_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward)
-
-
 def mse_loss(prediction: Tensor, target) -> Tensor:
     """Mean squared error over all elements."""
     diff = as_tensor(prediction) - as_tensor(target)
     return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target) -> Tensor:
-    """Mean absolute error over all elements."""
-    return (as_tensor(prediction) - as_tensor(target)).abs().mean()
-
-
-def binary_cross_entropy(prediction: Tensor, target, eps: float = 1e-12) -> Tensor:
-    """Elementwise BCE averaged over all elements.
-
-    ``prediction`` must already lie in ``(0, 1)`` (e.g. sigmoid output).
-    """
-    p = as_tensor(prediction)
-    t = as_tensor(target)
-    p = p * (1 - 2 * eps) + eps  # keep log() finite at the boundaries
-    return -(t * p.log() + (1.0 - t) * (1.0 - p).log()).mean()
-
-
-def huber_loss(prediction: Tensor, target, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic within ``delta`` of the target, linear beyond.
-
-    Implemented from differentiable primitives (no custom backward):
-    ``0.5 r^2`` for |r| <= delta, ``delta (|r| - 0.5 delta)`` otherwise.
-    """
-    residual = as_tensor(prediction) - as_tensor(target)
-    abs_residual = residual.abs()
-    clipped = abs_residual - (abs_residual - delta).relu()  # min(|r|, delta)
-    return (clipped * abs_residual - 0.5 * clipped * clipped).mean()
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

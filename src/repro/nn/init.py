@@ -6,14 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "uniform_fan_in", "zeros"]
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init; fan counts follow conv/linear conventions."""
-    fan_in, fan_out = _fans(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+__all__ = ["kaiming_uniform", "uniform_fan_in", "zeros"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

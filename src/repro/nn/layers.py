@@ -1,4 +1,4 @@
-"""Standard layers: Linear, Conv1d, norms, dropout, activations."""
+"""Standard layers: Linear, Conv1d, LayerNorm, ReLU and Identity."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ __all__ = [
     "Linear",
     "Conv1d",
     "LayerNorm",
-    "BatchNorm1d",
-    "Dropout",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Identity",
 ]
 
@@ -108,74 +104,10 @@ class LayerNorm(Module):
         return normalized * self.weight + self.bias
 
 
-class BatchNorm1d(Module):
-    """Batch normalization over ``(batch, channels, length)`` input.
-
-    Running statistics are tracked as buffers so that ``eval()`` mode
-    uses the training-time population estimates.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
-        self._buffer_running_mean = np.zeros(num_features)
-        self._buffer_running_var = np.ones(num_features)
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if x.ndim != 3:
-            raise ValueError("BatchNorm1d expects (batch, channels, length) input")
-        if self.training:
-            mean = x.mean(axis=(0, 2), keepdims=True)
-            var = x.var(axis=(0, 2), keepdims=True)
-            m = self.momentum
-            # The running buffer tracks the *unbiased* variance estimate
-            # (ddof=1), while the batch normalization itself stays biased
-            # (ddof=0) — matching the standard BatchNorm convention.
-            count = x.shape[0] * x.shape[2]
-            correction = count / (count - 1) if count > 1 else 1.0
-            self._buffer_running_mean *= 1 - m
-            self._buffer_running_mean += m * mean.data.reshape(-1)
-            self._buffer_running_var *= 1 - m
-            self._buffer_running_var += m * correction * var.data.reshape(-1)
-        else:
-            mean = Tensor(self._buffer_running_mean.reshape(1, -1, 1))
-            var = Tensor(self._buffer_running_var.reshape(1, -1, 1))
-        normalized = (x - mean) / (var + self.eps).sqrt()
-        return normalized * self.weight.reshape(1, -1, 1) + self.bias.reshape(1, -1, 1)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in ``eval()`` mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        self.p = p
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self.rng)
-
-
 class ReLU(Module):
     """Rectified linear unit: max(x, 0)."""
     def forward(self, x: Tensor) -> Tensor:
         return as_tensor(x).relu()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).tanh()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).sigmoid()
 
 
 class Identity(Module):

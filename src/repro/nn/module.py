@@ -78,13 +78,9 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: param.data.copy() for name, param in self.named_parameters()}
-        for name, buffer in self.named_buffers():
-            state[name] = buffer.copy()
-        return state
+        return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        buffers = dict(self.named_buffers())
         for name, param in self.named_parameters():
             if name not in state:
                 raise KeyError(f"missing parameter {name!r} in state dict")
@@ -94,17 +90,6 @@ class Module:
                     f"{param.shape} vs {state[name].shape}"
                 )
             param.data[...] = state[name]
-        for name, buffer in buffers.items():
-            if name in state:
-                buffer[...] = state[name]
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        """Non-trainable persistent arrays (e.g. batch-norm running stats)."""
-        for name, value in vars(self).items():
-            if name.startswith("_buffer_"):
-                yield prefix + name, value
-        for name, module in self._modules.items():
-            yield from module.named_buffers(prefix + name + ".")
 
     # ------------------------------------------------------------------
     # Invocation

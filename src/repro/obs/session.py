@@ -97,6 +97,7 @@ def active() -> ObsSession | None:
 
 
 def enabled() -> bool:
+    """True while an :class:`ObsSession` is installed."""
     return _ACTIVE is not None
 
 

@@ -7,23 +7,15 @@ from .butterworth import (
     filtfilt,
     lfilter,
 )
-from .changepoint import CusumResult, binary_segmentation, cusum, segment_costs
+from .changepoint import binary_segmentation, segment_costs
 from .decompose import Decomposition, decompose, moving_average, residual_component
-from .fft import (
-    dominant_frequency,
-    frequency_features,
-    spectral_amplitude,
-    spectral_phase,
-    spectral_power,
-)
-from .normalize import minmax, robust_zscore, znorm_windows, zscore
+from .fft import frequency_features
+from .normalize import robust_zscore, zscore
 from .period import acf_period, autocorrelation, estimate_period, fft_period
-from .windows import WindowPlan, coverage_mask, plan_windows, sliding_windows
+from .windows import WindowPlan, plan_windows, sliding_windows
 
 __all__ = [
-    "CusumResult",
     "binary_segmentation",
-    "cusum",
     "segment_costs",
     "butter_lowpass",
     "butterworth_smooth",
@@ -33,21 +25,14 @@ __all__ = [
     "decompose",
     "moving_average",
     "residual_component",
-    "dominant_frequency",
     "frequency_features",
-    "spectral_amplitude",
-    "spectral_phase",
-    "spectral_power",
-    "minmax",
     "robust_zscore",
-    "znorm_windows",
     "zscore",
     "acf_period",
     "autocorrelation",
     "estimate_period",
     "fft_period",
     "WindowPlan",
-    "coverage_mask",
     "plan_windows",
     "sliding_windows",
 ]

@@ -1,87 +1,19 @@
-"""Change-point detection: CUSUM and binary segmentation.
+"""Change-point detection by binary segmentation.
 
 Level-shift and trend anomalies are change-points in disguise; the
 paper's related work (e.g. its ref. [6] on contrastive change-point
-detection) sits on exactly this substrate.  Two classical detectors:
-
-- :func:`cusum` — the one-sided cumulative-sum statistic, flagging when
-  drift from the running mean exceeds a threshold;
-- :func:`binary_segmentation` — recursively split the series at the
-  point that maximally reduces the summed squared error, until the gain
-  falls below a penalty (a PELT-flavored stopping rule).
+detection) sits on exactly this substrate.
+:func:`binary_segmentation` recursively splits the series at the point
+that maximally reduces the summed squared error, until the gain falls
+below a penalty (a PELT-flavored stopping rule).  The ChangePoint
+baseline runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CusumResult", "cusum", "binary_segmentation", "segment_costs"]
-
-
-@dataclass(frozen=True)
-class CusumResult:
-    """CUSUM statistics and the indices where an alarm fired."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-    alarms: np.ndarray
-
-
-def cusum(
-    x: np.ndarray,
-    threshold: float = 5.0,
-    drift: float = 0.5,
-    baseline: int | None = None,
-) -> CusumResult:
-    """Two-sided standardized CUSUM.
-
-    Parameters
-    ----------
-    threshold:
-        Alarm level in standard deviations of the *baseline* segment.
-    drift:
-        Slack per step (also in baseline stds); larger values ignore
-        slower drifts.
-    baseline:
-        Number of leading points treated as in-control and used to
-        estimate the reference mean/std (default: first quarter, capped
-        at 200).  Standardizing by the global statistics would let the
-        change itself contaminate the reference.
-
-    The statistic resets after each alarm, so multiple change-points
-    yield multiple alarms.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < 2:
-        raise ValueError("series too short for CUSUM")
-    if baseline is None:
-        baseline = min(max(len(x) // 4, 2), 200)
-    reference = x[:baseline]
-    std = reference.std()
-    if std < 1e-12:
-        std = x.std()
-    if std < 1e-12:
-        zero = np.zeros(len(x))
-        return CusumResult(positive=zero, negative=zero.copy(), alarms=np.array([], dtype=np.int64))
-    z = (x - reference.mean()) / std
-
-    positive = np.zeros(len(z))
-    negative = np.zeros(len(z))
-    alarms: list[int] = []
-    up = down = 0.0
-    for i, value in enumerate(z):
-        up = max(0.0, up + value - drift)
-        down = max(0.0, down - value - drift)
-        positive[i] = up
-        negative[i] = down
-        if up > threshold or down > threshold:
-            alarms.append(i)
-            up = down = 0.0
-    return CusumResult(
-        positive=positive, negative=negative, alarms=np.asarray(alarms, dtype=np.int64)
-    )
+__all__ = ["binary_segmentation", "segment_costs"]
 
 
 def segment_costs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

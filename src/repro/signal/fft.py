@@ -4,42 +4,16 @@ The paper converts each time series window to the frequency domain with
 the discrete Fourier transform (Definition 2, Eq. 2) and hand-crafts
 three features per harmonic: spectral amplitude, spectral phase, and
 spectral power.  These become the 3-channel input of TriAD's frequency
-encoder.
+encoder.  Table I prints the phase as ``arctan(Re/Im)``; we use the
+four-quadrant ``arctan2(Im, Re)``, which is what the released TriAD code
+computes and what keeps the phase continuous in all quadrants.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "spectral_amplitude",
-    "spectral_phase",
-    "spectral_power",
-    "frequency_features",
-    "dominant_frequency",
-]
-
-
-def spectral_amplitude(x: np.ndarray) -> np.ndarray:
-    """Amplitude ``A(X[k]) = sqrt(Re^2 + Im^2)`` of each harmonic."""
-    return np.abs(np.fft.fft(np.asarray(x, dtype=np.float64)))
-
-
-def spectral_phase(x: np.ndarray) -> np.ndarray:
-    """Phase of each harmonic.
-
-    The paper's Table I prints ``arctan(Re/Im)``; we use the standard
-    four-quadrant ``arctan2(Im, Re)``, which is what the released TriAD
-    code computes and what keeps the phase continuous in all quadrants.
-    """
-    spectrum = np.fft.fft(np.asarray(x, dtype=np.float64))
-    return np.arctan2(spectrum.imag, spectrum.real)
-
-
-def spectral_power(x: np.ndarray) -> np.ndarray:
-    """Power ``P(X[k]) = Re^2 + Im^2`` of each harmonic."""
-    spectrum = np.fft.fft(np.asarray(x, dtype=np.float64))
-    return spectrum.real**2 + spectrum.imag**2
+__all__ = ["frequency_features"]
 
 
 def frequency_features(x: np.ndarray) -> np.ndarray:
@@ -80,12 +54,3 @@ def frequency_features(x: np.ndarray) -> np.ndarray:
     std = features.std(axis=-1, keepdims=True)
     features = (features - mean) / np.maximum(std, 1e-8)
     return features if batched else features[0]
-
-
-def dominant_frequency(x: np.ndarray) -> float:
-    """Index (in cycles per window) of the strongest non-DC harmonic."""
-    x = np.asarray(x, dtype=np.float64)
-    power = np.abs(np.fft.rfft(x - x.mean())) ** 2
-    if len(power) <= 1:
-        return 0.0
-    return float(np.argmax(power[1:]) + 1)

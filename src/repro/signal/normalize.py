@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zscore", "minmax", "znorm_windows", "robust_zscore"]
+__all__ = ["zscore", "robust_zscore"]
 
 _EPS = 1e-12
 
@@ -24,22 +24,3 @@ def robust_zscore(x: np.ndarray) -> np.ndarray:
     mad = np.median(np.abs(x - median))
     scale = 1.4826 * mad  # consistent with std under normality
     return (x - median) / max(scale, _EPS)
-
-
-def minmax(x: np.ndarray) -> np.ndarray:
-    """Scale into [0, 1]; constant inputs map to zeros."""
-    x = np.asarray(x, dtype=np.float64)
-    lo, hi = x.min(), x.max()
-    return (x - lo) / max(hi - lo, _EPS)
-
-
-def znorm_windows(windows: np.ndarray) -> np.ndarray:
-    """Z-normalize each row of a ``(num_windows, length)`` array.
-
-    This is the normalization used inside discord distance computations,
-    where amplitude offsets must not dominate shape differences.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    mean = windows.mean(axis=-1, keepdims=True)
-    std = windows.std(axis=-1, keepdims=True)
-    return (windows - mean) / np.maximum(std, _EPS)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .period import estimate_period
 
-__all__ = ["WindowPlan", "sliding_windows", "plan_windows", "coverage_mask"]
+__all__ = ["WindowPlan", "sliding_windows", "plan_windows"]
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,3 @@ def sliding_windows(
     starts = np.asarray(starts, dtype=np.int64)
     windows = np.stack([x[s : s + length] for s in starts])
     return windows, starts
-
-
-def coverage_mask(starts: np.ndarray, length: int, total: int) -> np.ndarray:
-    """Boolean mask of timestamps covered by at least one window."""
-    mask = np.zeros(total, dtype=bool)
-    for start in np.asarray(starts, dtype=np.int64):
-        mask[start : start + length] = True
-    return mask

@@ -1,4 +1,5 @@
-"""Terminal visualization: sparklines, line plots, and detection reports.
+"""Terminal visualization: sparklines, interval rulers, and detection
+reports.
 
 Pure-text plotting (no matplotlib in this environment) used by the
 examples and the CLI to make detections inspectable: the case-study
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sparkline", "ascii_plot", "mark_intervals", "detection_report"]
+__all__ = ["sparkline", "mark_intervals", "detection_report"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -27,49 +28,6 @@ def sparkline(values: np.ndarray, width: int = 60) -> str:
     span = max(hi - lo, 1e-12)
     levels = ((values - lo) / span * (len(_SPARK_LEVELS) - 1)).astype(int)
     return "".join(_SPARK_LEVELS[level] for level in levels)
-
-
-def ascii_plot(
-    values: np.ndarray,
-    height: int = 10,
-    width: int = 72,
-    marks: list[tuple[int, int]] | None = None,
-    mark_char: str = "!",
-) -> str:
-    """Render a series as a character grid with optional marked intervals.
-
-    Parameters
-    ----------
-    marks:
-        Half-open index intervals to flag in the footer row (e.g. the
-        labeled anomaly or the predicted points).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return ""
-    if len(values) > width:
-        chunks = np.array_split(values, width)
-        compressed = np.array([chunk.mean() for chunk in chunks])
-        scale = len(values) / width
-    else:
-        compressed = values
-        scale = 1.0
-    lo, hi = float(compressed.min()), float(compressed.max())
-    span = max(hi - lo, 1e-12)
-    rows = []
-    levels = ((compressed - lo) / span * (height - 1)).round().astype(int)
-    for row in range(height - 1, -1, -1):
-        line = "".join("█" if level >= row else " " for level in levels)
-        rows.append(line)
-    if marks:
-        footer = [" "] * len(compressed)
-        for start, end in marks:
-            a = int(start / scale)
-            b = max(int(np.ceil(end / scale)), a + 1)
-            for i in range(a, min(b, len(footer))):
-                footer[i] = mark_char
-        rows.append("".join(footer))
-    return "\n".join(rows)
 
 
 def mark_intervals(length: int, intervals: list[tuple[int, int]], char: str = "^") -> str:

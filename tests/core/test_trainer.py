@@ -9,7 +9,7 @@ from repro import nn
 from repro.core import TriADConfig, train_encoder, trainer
 
 from ..nn.test_conv_fastpath import reference_conv
-from ..nn.test_optim_fused import REFERENCE
+from ..nn.test_optim_fused import adam_reference
 from .test_float32 import LOSS_TOLERANCE
 
 
@@ -115,7 +115,7 @@ class TestReferenceStack:
         config = fast_config.with_overrides(kernel_size=kernel_size, epochs=2)
         fast = train_encoder(noisy_wave, config)
         monkeypatch.setattr(trainer, "_contrastive_representations", _two_pass)
-        monkeypatch.setattr(nn.Adam, "step", REFERENCE[nn.Adam])
+        monkeypatch.setattr(nn.Adam, "step", adam_reference)
         with reference_conv():
             reference = train_encoder(noisy_wave, config)
         assert np.allclose(fast.train_losses, reference.train_losses, rtol=0, atol=1e-9)

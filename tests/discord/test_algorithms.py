@@ -1,16 +1,11 @@
-"""Discord algorithm tests: brute force, DRAG, MERLIN, MERLIN++, matrix profile."""
+"""Discord algorithm tests: brute force, DRAG, MERLIN, MERLIN++."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.discord import (
-    brute_force_discord,
-    drag,
-    matrix_profile,
-    merlin,
-)
+from repro.discord import brute_force_discord, drag, merlin
 
 
 @pytest.fixture
@@ -90,28 +85,3 @@ class TestMerlin:
     def test_skips_lengths_exceeding_half_series(self, discord_series):
         result = merlin(discord_series[:100], 30, 80, step=10)
         assert all(d.length <= 50 for d in result.discords)
-
-
-class TestMatrixProfile:
-    def test_profile_shape(self, rng):
-        x = rng.normal(size=150)
-        mp = matrix_profile(x, 20)
-        assert mp.profile.shape == (131,)
-        assert mp.indices.shape == (131,)
-
-    def test_discord_index_matches_brute(self, discord_series):
-        mp = matrix_profile(discord_series, 50, exclusion=50)
-        reference = brute_force_discord(discord_series, 50, exclusion=50)
-        assert mp.discord_index() == reference.index
-
-    def test_motif_pair_is_mutual_and_close(self, sine_wave):
-        mp = matrix_profile(sine_wave, 25)
-        i, j = mp.motif_pair()
-        assert abs(i - j) >= 12  # outside the exclusion zone
-        assert mp.profile[i] == pytest.approx(mp.profile.min())
-
-    def test_nn_indices_respect_exclusion(self, rng):
-        x = rng.normal(size=120)
-        mp = matrix_profile(x, 10, exclusion=8)
-        positions = np.arange(len(mp.indices))
-        assert np.all(np.abs(mp.indices - positions) >= 8)

@@ -2,11 +2,12 @@
 oracle.
 
 The contract the whole refactor rests on (and docs/PERF.md documents):
-for any series, subsequence length, and exclusion zone, the default
-``"auto"`` discord mode returns *identical discord indices* and
-distances within ``1e-9`` of the original scalar implementations (the
-``"reference"`` mode) — including degenerate constant subsequences and
-the short-series all-``inf`` contract of ``nearest_neighbor_distances``.
+for any series, subsequence length, and exclusion zone, the batched
+kernels return *identical discord indices* and distances within
+``1e-9`` of the original scalar implementations — including degenerate
+constant subsequences and the short-series all-``inf`` contract of
+``nearest_neighbor_distances``.  The oracles live in
+``tests/discord/reference.py``; ``reference_discord()`` swaps them in.
 """
 
 from __future__ import annotations
@@ -17,17 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.discord import (
-    DISCORD_MODES,
     brute_force_discord,
-    discord_mode,
     drag,
-    matrix_profile,
     merlin,
     nearest_neighbor_distances,
 )
-from repro.discord.distance import (
-    nearest_neighbor_distances as reference_nn_distances,
-)
+
+from .reference import DISCORD_PATHS, reference_discord, reference_nn_distances
 
 
 def make_series(seed: int, n: int = 180, constant_run: bool = False) -> np.ndarray:
@@ -69,7 +66,7 @@ def test_drag_matches_reference(seed):
     """Blocked DRAG returns the same discord as the sequential scan."""
     series = make_series(seed)
     length = 16
-    with discord_mode("reference"):
+    with reference_discord():
         oracle = drag(series, length, r=1.0)
     fast = drag(series, length, r=1.0)
     if oracle is None:
@@ -89,7 +86,7 @@ def test_drag_success_threshold_agrees(seed):
     length = 12
     top = brute_force_discord(series, length, exclusion=length)
     for r, should_find in ((top.distance * 0.999, True), (top.distance * 1.5, None)):
-        with discord_mode("reference"):
+        with reference_discord():
             oracle = drag(series, length, r)
         fast = drag(series, length, r)
         assert (oracle is None) == (fast is None)
@@ -104,7 +101,7 @@ def test_merlin_matches_reference(seed, constant_run):
     """The full MERLIN sweep — lower-bound seeding, pre-pruning and all —
     finds the reference's discords."""
     series = make_series(seed, constant_run=constant_run)
-    with discord_mode("reference"):
+    with reference_discord():
         oracle = merlin(series, 8, 40, step=8)
     fast = merlin(series, 8, 40, step=8)
     assert [(d.index, d.length) for d in fast.discords] == [
@@ -114,18 +111,6 @@ def test_merlin_matches_reference(seed, constant_run):
         assert a.distance == pytest.approx(b.distance, abs=1e-9)
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=15, deadline=None)
-def test_matrix_profile_and_damp_match_reference(seed):
-    series = make_series(seed)
-    length = 14
-    with discord_mode("reference"):
-        mp_oracle = matrix_profile(series, length)
-    mp_fast = matrix_profile(series, length)
-    np.testing.assert_array_equal(mp_fast.indices, mp_oracle.indices)
-    np.testing.assert_allclose(mp_fast.profile, mp_oracle.profile, atol=1e-9)
-
-
 @given(
     n=st.integers(min_value=8, max_value=24),
     length=st.integers(min_value=4, max_value=8),
@@ -133,12 +118,12 @@ def test_matrix_profile_and_damp_match_reference(seed):
 @settings(max_examples=25, deadline=None)
 def test_short_series_all_inf_contract(n, length):
     """A zone wide enough to ban every pair yields all-inf, not an error,
-    in both modes."""
+    on both paths."""
     series = np.sin(np.arange(n) / 2.0)
     count = n - length + 1
     exclusion = count  # |i - j| < count always holds
-    for mode in DISCORD_MODES:
-        with discord_mode(mode):
+    for mode, path in DISCORD_PATHS.items():
+        with path():
             profile = nearest_neighbor_distances(series, length, exclusion=exclusion)
         assert profile.shape == (count,)
         assert np.isinf(profile).all(), mode

@@ -1,9 +1,9 @@
 """Unit tests for the shared discord kernel layer.
 
-Covers the mode-dispatch family, ``SeriesContext`` moment/z-norm reuse,
-the one documented home for exclusion-zone defaults (pinning each
-algorithm's effective zone), and the ``StreamingDiscordDetector``
-``baseline_window`` parameter.
+Covers ``SeriesContext`` moment/z-norm reuse, the one documented home
+for exclusion-zone defaults (pinning each algorithm's effective zone),
+the kernel entry point on both discord paths, and the
+``StreamingDiscordDetector`` ``baseline_window`` parameter.
 """
 
 from __future__ import annotations
@@ -12,23 +12,18 @@ import numpy as np
 import pytest
 
 from repro.discord import (
-    DISCORD_MODES,
     StreamingDiscordDetector,
     default_exclusion,
-    discord_mode,
     drag,
-    get_discord_mode,
-    matrix_profile,
+    left_matrix_profile,
     nearest_neighbor_distances,
-    set_discord_mode,
     top_k_discords,
     znorm_subsequences,
 )
-from repro.discord.distance import (
-    nearest_neighbor_distances as reference_nn_distances,
-)
 from repro.discord.kernels import SeriesContext
 from repro.discord.streaming import BASELINE_WINDOW
+
+from .reference import DISCORD_PATHS, reference_nn_distances
 
 
 @pytest.fixture
@@ -36,32 +31,6 @@ def series(rng):
     s = rng.normal(size=400)
     s[250:270] += 3.0
     return s
-
-
-# ----------------------------------------------------------------------
-# Mode dispatch
-# ----------------------------------------------------------------------
-class TestModeDispatch:
-    def test_default_mode_is_auto(self):
-        assert get_discord_mode() == "auto"
-
-    def test_set_returns_previous_and_rejects_unknown(self):
-        previous = set_discord_mode("reference")
-        try:
-            assert previous == "auto"
-            assert get_discord_mode() == "reference"
-            with pytest.raises(ValueError, match="unknown discord mode"):
-                set_discord_mode("blocked")
-            assert get_discord_mode() == "reference"
-        finally:
-            set_discord_mode(previous)
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with discord_mode("reference"):
-                assert get_discord_mode() == "reference"
-                raise RuntimeError("boom")
-        assert get_discord_mode() == "auto"
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +90,8 @@ class TestSeriesContext:
         direct = nearest_neighbor_distances(series, 16)
         shared = nearest_neighbor_distances(series, 16, ctx=ctx)
         np.testing.assert_array_equal(direct, shared)
-        mp = matrix_profile(series, 16, ctx=ctx)
-        assert mp.profile.shape == shared.shape
+        left = left_matrix_profile(series, 16, ctx=ctx)
+        assert left.shape == shared.shape
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +129,6 @@ class TestExclusionConventions:
             (d.index, d.distance) for d in explicit
         ]
 
-    def test_matrix_profile_and_motifs_default_to_profile_convention(self, series):
-        mp_default = matrix_profile(series, 16)
-        mp_explicit = matrix_profile(series, 16, exclusion=8)
-        np.testing.assert_array_equal(mp_default.profile, mp_explicit.profile)
-        np.testing.assert_array_equal(mp_default.indices, mp_explicit.indices)
-
 
 # ----------------------------------------------------------------------
 # Kernel entry point contracts
@@ -174,8 +137,8 @@ class TestKernelEntryPoint:
     def test_short_series_all_inf_contract_in_every_mode(self):
         # count = 5 subsequences under exclusion 8: every pair banned.
         s = np.sin(np.arange(12))
-        for mode in DISCORD_MODES:
-            with discord_mode(mode):
+        for mode, path in DISCORD_PATHS.items():
+            with path():
                 profile = nearest_neighbor_distances(s, 8, exclusion=8)
             assert profile.shape == (5,)
             assert np.isinf(profile).all(), mode
@@ -186,8 +149,8 @@ class TestKernelEntryPoint:
         np.testing.assert_allclose(fast, oracle, atol=1e-9)
 
     def test_too_long_subsequence_raises(self, series):
-        for mode in DISCORD_MODES:
-            with discord_mode(mode):
+        for path in DISCORD_PATHS.values():
+            with path():
                 with pytest.raises(ValueError, match="exceeds series length"):
                     nearest_neighbor_distances(series, len(series) + 1)
                 with pytest.raises(ValueError, match="must be positive"):

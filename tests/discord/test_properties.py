@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.discord import (
     brute_force_discord,
     drag,
-    matrix_profile,
     nearest_neighbor_distances,
     top_k_discords,
 )
@@ -59,17 +58,3 @@ def test_top_k_prefix_property(seed, k):
     for a, b in zip(smaller, larger):
         assert a.index == b.index
         assert a.distance == pytest.approx(b.distance)
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=15, deadline=None)
-def test_matrix_profile_symmetric_reachability(seed):
-    """Each NN index must point at a finite-distance subsequence that is
-    outside the exclusion zone."""
-    series = make_series(seed)
-    length = 10
-    mp = matrix_profile(series, length)
-    positions = np.arange(len(mp.indices))
-    exclusion = max(length // 2, 1)
-    assert np.all(np.abs(mp.indices - positions) >= exclusion)
-    assert np.all(mp.profile[np.isfinite(mp.profile)] >= 0)

@@ -11,7 +11,6 @@ lengths as at the default, with distances within 1e-12.
 from __future__ import annotations
 
 import contextlib
-import importlib
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from repro.discord import (
     SeriesContext,
     brute_force_discord,
-    discord_mode,
     drag,
     left_matrix_profile,
     merlin,
@@ -30,8 +28,7 @@ from repro.discord import kernels
 from repro.discord.distance import TINY_SQ, correct_tiny_distances, trivial_match_mask
 from repro.discord.kernels import nn_profile, tile_rows
 
-# The package re-exports the function ``merlin`` under the module's name.
-merlin_module = importlib.import_module("repro.discord.merlin")
+from .reference import merlin_module, reference_discord
 
 
 @contextlib.contextmanager
@@ -118,9 +115,9 @@ def test_merlin_is_tile_invariant(seed, rows):
 @settings(max_examples=25, deadline=None)
 def test_nn_profile_is_tile_invariant(seed, rows, length, exclusion):
     series = make_series(seed, n=180)
-    default, _ = nn_profile(SeriesContext(series), length, exclusion)
+    default = nn_profile(SeriesContext(series), length, exclusion)
     with tile_budget(tiny_budget(rows)):
-        tiny, _ = nn_profile(SeriesContext(series), length, exclusion)
+        tiny = nn_profile(SeriesContext(series), length, exclusion)
         tiny_left = left_matrix_profile(series, length)
     np.testing.assert_array_equal(np.isinf(tiny), np.isinf(default))
     finite = np.isfinite(default)
@@ -143,19 +140,15 @@ def always_corrected_nn_profile(ctx, length, exclusion, rows):
     count = ctx.count(length)
     z, norms = ctx.znorm(length), ctx.znorm_sq_norms(length)
     band = trivial_match_mask(count, exclusion)
-    profile, nearest_all = np.empty(count), np.empty(count, dtype=np.int64)
+    profile = np.empty(count)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         sq = kernels.pair_sq_distances(z[start:stop], norms[start:stop], z, norms)
         np.maximum(sq, 0.0, out=sq)
         np.copyto(sq, np.inf, where=band[start:stop])
         correct_tiny_distances(ctx.series, length, np.arange(start, stop), sq)
-        nearest = sq.argmin(axis=1)
-        nearest_all[start:stop] = nearest
-        profile[start:stop] = np.sqrt(
-            np.maximum(sq[np.arange(stop - start), nearest], 0.0)
-        )
-    return profile, nearest_all
+        profile[start:stop] = np.sqrt(np.maximum(sq.min(axis=1), 0.0))
+    return profile
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 64])
@@ -172,10 +165,9 @@ def test_nn_profile_skips_the_correction_only_where_it_changes_nothing(rows):
     count = ctx.count(length)
     with tile_budget(8 * rows * count):
         assert tile_rows(count) == rows
-        profile, indices = nn_profile(ctx, length, exclusion, want_indices=True)
-    expected, nearest = always_corrected_nn_profile(ctx, length, exclusion, rows)
+        profile = nn_profile(ctx, length, exclusion)
+    expected = always_corrected_nn_profile(ctx, length, exclusion, rows)
     assert profile.tobytes() == expected.tobytes()
-    np.testing.assert_array_equal(indices, nearest)
     tiny_rows_hit = np.flatnonzero(profile < np.sqrt(TINY_SQ))
     assert 0 < len(tiny_rows_hit) < count // 2  # some tiles skip, some correct
 
@@ -211,7 +203,7 @@ class TestSeededDrop:
 
     def test_reference_mode_keeps_the_decay_schedule(self, monkeypatch):
         series = make_series(7, n=1200)
-        with discord_mode("reference"):
+        with reference_discord():
             oracle, calls = self.drag_calls_per_length(
                 monkeypatch, series, self.LENGTHS
             )

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.metrics import Timer, event_accuracy, event_detected, window_hits_event
+from repro.metrics import Timer, event_detected, window_hits_event
 
 
 class TestEventDetected:
@@ -41,14 +41,6 @@ class TestWindowHitsEvent:
 
     def test_far_window(self):
         assert not window_hits_event((700, 800), (400, 450), margin=100)
-
-
-class TestEventAccuracy:
-    def test_fraction(self):
-        assert event_accuracy([True, False, True, True]) == pytest.approx(0.75)
-
-    def test_empty(self):
-        assert event_accuracy([]) == 0.0
 
 
 class TestTimer:

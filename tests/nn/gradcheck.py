@@ -1,7 +1,7 @@
 """Numerical gradient checking for the autodiff engine.
 
-Every op in :mod:`repro.nn` is validated in the test suite by comparing
-its analytic gradient against central finite differences computed here.
+The test oracle for every op in :mod:`repro.nn`: each analytic gradient
+is compared against central finite differences computed here.
 Both functions take float64 inputs only: the default 1e-6 step is below
 float32 resolution (~1.2e-7 relative), so on a float32 input the finite
 differences are rounding noise and a correct gradient would read as a
@@ -14,9 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
-__all__ = ["numerical_gradient", "check_gradients"]
+from repro.nn import Tensor
 
 
 def _require_float64(inputs: Sequence[Tensor]) -> None:

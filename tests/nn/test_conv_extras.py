@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import Tensor, check_gradients
+from repro.nn import Tensor
 from repro.nn import functional as F
+
+from .gradcheck import check_gradients
 
 
 class TestStride:

@@ -16,8 +16,10 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, check_gradients
+from repro.nn import Tensor
 from repro.nn import functional as F
+
+from .gradcheck import check_gradients
 
 
 def _reference_forward(plan, padded, weight):

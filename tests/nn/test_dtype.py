@@ -16,9 +16,10 @@ import pytest
 
 from repro import nn
 from repro.core.losses import inter_domain_loss, intra_domain_loss
-from repro.nn import Parameter, Tensor, check_gradients, numerical_gradient
+from repro.nn import Parameter, Tensor
 from repro.nn import functional as F
 
+from .gradcheck import check_gradients, numerical_gradient
 from .test_conv_fastpath import DILATIONS, PADDINGS, STRIDES, conv_context
 from .test_residual_block import DILATIONS as BLOCK_DILATIONS
 from .test_residual_block import KERNELS, _arrays, _layered, _run

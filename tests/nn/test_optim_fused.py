@@ -1,8 +1,8 @@
-"""Bit-identity tests for the in-place optimizer steps.
+"""Bit-identity tests for the in-place Adam step.
 
-Each ``step()`` replays the textbook update rule with in-place ufuncs
-over preallocated scratch — same operations, same rounding order — so
-trajectories must be *bit-identical* to the allocation-per-step rules
+``step()`` replays the textbook update rule with in-place ufuncs over
+preallocated scratch — same operations, same rounding order — so
+trajectories must be *bit-identical* to the allocation-per-step rule
 below, not merely close.  ``np.array_equal`` (no tolerance) is the
 whole point of these tests.
 """
@@ -16,25 +16,10 @@ from repro import nn
 from repro.nn import Parameter
 
 
-# Reference update rules: the oracle each in-place ``step()`` must match.
-# They read and advance the optimizer's own state (moments, step count).
-
-
-def _sgd_reference(opt: nn.SGD) -> None:
-    for param, velocity in zip(opt.parameters, opt._velocity):
-        if param.grad is None:
-            continue
-        grad = param.grad
-        if opt.weight_decay:
-            grad = grad + opt.weight_decay * param.data
-        if opt.momentum:
-            velocity *= opt.momentum
-            velocity += grad
-            grad = velocity
-        param.data -= opt.lr * grad
-
-
-def _adam_reference(opt: nn.Adam) -> None:
+def adam_reference(opt: nn.Adam) -> None:
+    """The textbook Adam update: the oracle the in-place ``step()`` must
+    match.  It reads and advances the optimizer's own state (moments,
+    step count)."""
     opt._step_count += 1
     bias1 = 1.0 - opt.beta1**opt._step_count
     bias2 = 1.0 - opt.beta2**opt._step_count
@@ -42,8 +27,6 @@ def _adam_reference(opt: nn.Adam) -> None:
         if param.grad is None:
             continue
         grad = param.grad
-        if opt.weight_decay:
-            grad = grad + opt.weight_decay * param.data
         m *= opt.beta1
         m += (1.0 - opt.beta1) * grad
         v *= opt.beta2
@@ -53,42 +36,7 @@ def _adam_reference(opt: nn.Adam) -> None:
         param.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
-def _adamw_reference(opt: nn.AdamW) -> None:
-    if opt.decoupled_weight_decay:
-        for param in opt.parameters:
-            if param.grad is not None:
-                param.data -= opt.lr * opt.decoupled_weight_decay * param.data
-    _adam_reference(opt)
-
-
-def _rmsprop_reference(opt: nn.RMSProp) -> None:
-    for param, square_avg in zip(opt.parameters, opt._square_avg):
-        if param.grad is None:
-            continue
-        square_avg *= opt.alpha
-        square_avg += (1.0 - opt.alpha) * param.grad**2
-        param.data -= opt.lr * param.grad / (np.sqrt(square_avg) + opt.eps)
-
-
-REFERENCE = {
-    nn.SGD: _sgd_reference,
-    nn.Adam: _adam_reference,
-    nn.AdamW: _adamw_reference,
-    nn.RMSProp: _rmsprop_reference,
-}
-
-FACTORIES = {
-    "sgd": lambda params: nn.SGD(params, lr=0.05),
-    "sgd_momentum": lambda params: nn.SGD(params, lr=0.05, momentum=0.9),
-    "sgd_wd": lambda params: nn.SGD(params, lr=0.05, weight_decay=0.01),
-    "sgd_momentum_wd": lambda params: nn.SGD(
-        params, lr=0.05, momentum=0.9, weight_decay=0.01
-    ),
-    "adam": lambda params: nn.Adam(params, lr=0.01),
-    "adam_wd": lambda params: nn.Adam(params, lr=0.01, weight_decay=0.01),
-    "adamw": lambda params: nn.AdamW(params, lr=0.01, weight_decay=0.02),
-    "rmsprop": lambda params: nn.RMSProp(params, lr=0.01),
-}
+FACTORIES = {"adam": lambda params: nn.Adam(params, lr=0.01)}
 
 
 def _trajectory(factory, fused: bool, steps: int = 50) -> list[np.ndarray]:
@@ -100,7 +48,7 @@ def _trajectory(factory, fused: bool, steps: int = 50) -> list[np.ndarray]:
     ]
     optimizer = factory(params)
     grad_rng = np.random.default_rng(7)
-    step = optimizer.step if fused else lambda: REFERENCE[type(optimizer)](optimizer)
+    step = optimizer.step if fused else lambda: adam_reference(optimizer)
     snapshots = []
     for _ in range(steps):
         for p in params:

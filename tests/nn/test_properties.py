@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, check_gradients
+from repro.nn import Tensor
+
+from .gradcheck import check_gradients
 
 SETTINGS = dict(max_examples=25, deadline=None)
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, check_gradients, no_grad
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
+from .gradcheck import check_gradients
 from .test_conv_fastpath import conv_context
 
 MODES = ["auto", "reference"]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import Tensor, check_gradients
+from repro.nn import Tensor
+
+from .gradcheck import check_gradients
 
 
 @pytest.fixture

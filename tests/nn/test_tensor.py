@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, check_gradients, concatenate, no_grad, stack
+from repro.nn import Tensor, as_tensor, concatenate, no_grad, stack
 from repro.nn.tensor import is_grad_enabled
+
+from .gradcheck import check_gradients
 
 
 def t(data, grad=True) -> Tensor:

@@ -1,11 +1,11 @@
-"""Tests for CUSUM and binary segmentation."""
+"""Tests for binary segmentation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.signal import binary_segmentation, cusum, segment_costs
+from repro.signal import binary_segmentation, segment_costs
 from repro.signal.changepoint import _sse
 
 
@@ -15,37 +15,6 @@ def step_series(rng):
     return np.concatenate(
         [rng.normal(0.0, 1.0, 300), rng.normal(3.0, 1.0, 300)]
     )
-
-
-class TestCusum:
-    def test_alarms_near_step(self, step_series):
-        result = cusum(step_series, threshold=5.0, drift=0.5)
-        assert result.alarms.size > 0
-        assert any(290 <= alarm <= 330 for alarm in result.alarms)
-        # After the shift the statistic keeps re-alarming (mean moved).
-        assert (result.alarms >= 300).sum() >= (result.alarms < 300).sum()
-
-    def test_quiet_on_stationary_noise(self, rng):
-        result = cusum(rng.normal(size=1000), threshold=8.0, drift=0.5)
-        assert result.alarms.size == 0
-
-    def test_statistics_nonnegative(self, step_series):
-        result = cusum(step_series)
-        assert np.all(result.positive >= 0)
-        assert np.all(result.negative >= 0)
-
-    def test_detects_downward_shift(self, rng):
-        x = np.concatenate([rng.normal(0, 1, 300), rng.normal(-3, 1, 300)])
-        result = cusum(x, threshold=5.0)
-        assert result.alarms.size > 0
-
-    def test_constant_series_no_alarm(self):
-        result = cusum(np.ones(100))
-        assert result.alarms.size == 0
-
-    def test_too_short_raises(self):
-        with pytest.raises(ValueError):
-            cusum(np.array([1.0]))
 
 
 class TestSegmentCosts:

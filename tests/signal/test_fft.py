@@ -4,35 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.signal import (
-    dominant_frequency,
-    frequency_features,
-    spectral_amplitude,
-    spectral_phase,
-    spectral_power,
-)
-
-
-class TestTableIFeatures:
-    def test_amplitude_definition(self, rng):
-        x = rng.normal(size=64)
-        spectrum = np.fft.fft(x)
-        expected = np.sqrt(spectrum.real**2 + spectrum.imag**2)
-        assert np.allclose(spectral_amplitude(x), expected)
-
-    def test_power_is_amplitude_squared(self, rng):
-        x = rng.normal(size=64)
-        assert np.allclose(spectral_power(x), spectral_amplitude(x) ** 2)
-
-    def test_phase_in_range(self, rng):
-        phase = spectral_phase(rng.normal(size=32))
-        assert np.all(phase >= -np.pi) and np.all(phase <= np.pi)
-
-    def test_pure_tone_amplitude_peak(self):
-        n = 128
-        x = np.sin(2 * np.pi * 8 * np.arange(n) / n)
-        amp = spectral_amplitude(x)
-        assert int(np.argmax(amp[1 : n // 2]) + 1) == 8
+from repro.signal import frequency_features
 
 
 class TestFrequencyFeatures:
@@ -62,15 +34,3 @@ class TestFrequencyFeatures:
         assert not np.allclose(f_slow[0], f_fast[0], atol=0.1)
 
 
-class TestDominantFrequency:
-    def test_pure_tone(self):
-        n = 256
-        x = np.sin(2 * np.pi * 12 * np.arange(n) / n)
-        assert dominant_frequency(x) == 12
-
-    def test_dc_removed(self):
-        x = np.sin(2 * np.pi * 5 * np.arange(128) / 128) + 100.0
-        assert dominant_frequency(x) == 5
-
-    def test_degenerate_input(self):
-        assert dominant_frequency(np.ones(1)) == 0.0

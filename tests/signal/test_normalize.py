@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.signal import minmax, robust_zscore, znorm_windows, zscore
+from repro.signal import robust_zscore, zscore
 
 finite_arrays = hnp.arrays(
     dtype=np.float64,
@@ -55,28 +55,3 @@ class TestRobustZscore:
         assert np.all(np.isfinite(robust_zscore(np.full(10, 3.0))))
 
 
-class TestMinmax:
-    def test_range(self, rng):
-        out = minmax(rng.normal(size=200))
-        assert out.min() == 0.0 and out.max() == 1.0
-
-    def test_constant_input(self):
-        assert np.allclose(minmax(np.full(5, 2.0)), 0.0)
-
-    @given(finite_arrays)
-    @settings(max_examples=30, deadline=None)
-    def test_property_in_unit_interval(self, x):
-        out = minmax(x)
-        assert np.all(out >= 0.0) and np.all(out <= 1.0 + 1e-12)
-
-
-class TestZnormWindows:
-    def test_each_row_normalized(self, rng):
-        windows = rng.normal(size=(10, 30)) * 5 + 2
-        z = znorm_windows(windows)
-        assert np.allclose(z.mean(axis=1), 0.0, atol=1e-10)
-        assert np.allclose(z.std(axis=1), 1.0)
-
-    def test_constant_rows_zeroed(self):
-        z = znorm_windows(np.ones((3, 8)))
-        assert np.allclose(z, 0.0)

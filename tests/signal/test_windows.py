@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.signal import coverage_mask, plan_windows, sliding_windows
+from repro.signal import plan_windows, sliding_windows
+
+
+def covered(starts: np.ndarray, length: int, total: int) -> np.ndarray:
+    """Boolean mask of timestamps covered by at least one window."""
+    mask = np.zeros(total, dtype=bool)
+    for start in starts:
+        mask[start : start + length] = True
+    return mask
 
 
 class TestSlidingWindows:
@@ -21,7 +29,7 @@ class TestSlidingWindows:
     def test_full_coverage_guaranteed(self, rng):
         x = rng.normal(size=103)  # not a multiple of the stride
         windows, starts = sliding_windows(x, 20, 7)
-        mask = coverage_mask(starts, 20, len(x))
+        mask = covered(starts, 20, len(x))
         assert mask.all()
 
     def test_stride_one_count(self, rng):
@@ -55,7 +63,7 @@ class TestSlidingWindows:
             length = n
         windows, starts = sliding_windows(x, length, stride)
         if stride <= length:  # full coverage is only possible then
-            assert coverage_mask(starts, length, n).all()
+            assert covered(starts, length, n).all()
         assert np.all(starts >= 0)
         assert np.all(starts + length <= n)
         assert np.all(np.diff(starts) > 0)

@@ -20,6 +20,11 @@ PACKAGES = [
     "repro.eval",
     "repro.viz",
     "repro.validation",
+    "repro.jobs",
+    "repro.serve",
+    "repro.runtime",
+    "repro.obs",
+    "repro.pipeline",
 ]
 
 

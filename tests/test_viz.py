@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.viz import ascii_plot, detection_report, mark_intervals, sparkline
+from repro.viz import detection_report, mark_intervals, sparkline
 
 
 class TestSparkline:
@@ -25,30 +25,6 @@ class TestSparkline:
 
     def test_empty(self):
         assert sparkline(np.array([])) == ""
-
-
-class TestAsciiPlot:
-    def test_dimensions(self, rng):
-        plot = ascii_plot(rng.normal(size=300), height=6, width=50)
-        lines = plot.splitlines()
-        assert len(lines) == 6
-        assert all(len(line) == 50 for line in lines)
-
-    def test_marks_row_appended(self, rng):
-        plot = ascii_plot(rng.normal(size=100), height=4, width=50, marks=[(40, 60)])
-        lines = plot.splitlines()
-        assert len(lines) == 5
-        assert "!" in lines[-1]
-
-    def test_peak_location(self):
-        x = np.zeros(72)
-        x[36] = 10.0
-        plot = ascii_plot(x, height=5, width=72)
-        top_row = plot.splitlines()[0]
-        assert top_row[36] == "█"
-
-    def test_empty(self):
-        assert ascii_plot(np.array([])) == ""
 
 
 class TestMarkIntervals:
