@@ -26,12 +26,8 @@ import tempfile
 
 import numpy as np
 
-from repro.jobs import (
-    JobManager,
-    JobSpec,
-    BatchedSpectralResidualScorer,
-    register_job_detector,
-)
+from repro.baselines import SpectralResidualWindowScorer
+from repro.jobs import JobManager, JobSpec, register_job_detector
 
 
 def make_series(n: int = 200_000) -> np.ndarray:
@@ -42,8 +38,8 @@ def make_series(n: int = 200_000) -> np.ndarray:
     return series
 
 
-class FlakyScorer(BatchedSpectralResidualScorer):
-    """Same math as the batched spectral-residual scorer, but the owning
+class FlakyScorer(SpectralResidualWindowScorer):
+    """Same math as the ``spectral-residual`` job scorer, but the owning
     manager cancels the job after a few chunks — standing in for a
     crash/preemption mid-run."""
 
@@ -75,7 +71,7 @@ def main() -> None:
         # -- 1. an uninterrupted run, for reference -----------------------
         register_job_detector(
             "example-sr",
-            lambda train, params: (BatchedSpectralResidualScorer(), 256, 64),
+            lambda train, params: (SpectralResidualWindowScorer(), 256, 64),
             plan=lambda train, params: (256, 64),
         )
         record = manager.submit(spec, series)
@@ -101,7 +97,7 @@ def main() -> None:
             # -- 3. resume: same submit dedupes to the same job -----------
             register_job_detector(
                 "example-sr",
-                lambda train, params: (BatchedSpectralResidualScorer(), 256, 64),
+                lambda train, params: (SpectralResidualWindowScorer(), 256, 64),
                 plan=lambda train, params: (256, 64),
             )
             resumed = crashy.submit(spec, series)

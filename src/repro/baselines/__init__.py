@@ -9,7 +9,7 @@ from .donut import DonutDetector, WindowVAE
 from .lstm_ae import LSTMAEDetector, LSTMAutoencoder
 from .mtgflow import MTGFlowDetector
 from .random_detector import OneLinerDetector, RandomScoreDetector
-from .spectral_residual import SpectralResidualDetector
+from .spectral_residual import SpectralResidualDetector, SpectralResidualWindowScorer
 from .ts2vec import TS2VecDetector
 from .usad import USADDetector
 
@@ -27,6 +27,7 @@ __all__ = [
     "RandomScoreDetector",
     "OneLinerDetector",
     "SpectralResidualDetector",
+    "SpectralResidualWindowScorer",
     "ChangePointDetector",
     "DeepAnTDetector",
     "DonutDetector",

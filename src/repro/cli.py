@@ -31,7 +31,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent streams to simulate")
     p_shard.add_argument("--chunk", type=int, default=128,
                          help="points per stream per submit round")
-    p_shard.add_argument("--store", choices=["memory", "file", "shm"],
+    p_shard.add_argument("--store", choices=["memory", "file"],
                          default="memory",
                          help="stream-state store backend")
     p_shard.add_argument("--store-dir", type=Path, default=None,
@@ -498,19 +497,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _make_store(kind: str, directory=None):
-    """Build a stream-state store backend for the shard fabric."""
-    from .serve import FileBackedStore, InMemoryStore, SharedMemoryStore
-
-    if kind == "file":
-        import tempfile
-
-        return FileBackedStore(directory or tempfile.mkdtemp(prefix="repro-shard-"))
-    if kind == "shm":
-        return SharedMemoryStore(f"repro-shard-{os.getpid()}")
-    return InMemoryStore()
-
-
 def _run_sharded_replay(
     dataset,
     spec,
@@ -526,16 +512,20 @@ def _run_sharded_replay(
     import json as json_module
     import time as time_module
 
-    from .serve import ShardSupervisor
+    from .serve import FileBackedStore, InMemoryStore, ShardSupervisor
 
+    if store_kind == "file":
+        import tempfile
+
+        store = FileBackedStore(store_dir or tempfile.mkdtemp(prefix="repro-shard-"))
+    else:
+        store = InMemoryStore()
     series = np.asarray(dataset.test, dtype=np.float64)
     ids = [f"{dataset.name}#{i}" for i in range(streams)]
     rounds = max((len(series) + chunk - 1) // chunk, 1)
     kill_round = rounds // 2
     alerts = 0
-    with ShardSupervisor(
-        spec, workers=workers, store=_make_store(store_kind, store_dir)
-    ) as supervisor:
+    with ShardSupervisor(spec, workers=workers, store=store) as supervisor:
         start_time = time_module.perf_counter()
         for round_index, start in enumerate(range(0, len(series), chunk)):
             if kill_worker and round_index == kill_round:

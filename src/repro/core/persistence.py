@@ -67,7 +67,6 @@ def load_detector(path: str | os.PathLike) -> TriAD:
     config = TriADConfig(**config_dict)
     encoder = TriDomainEncoder(config)
     encoder.load_state_dict(state)
-    encoder.eval()
 
     detector = TriAD(config)
     detector._train_series = np.asarray(train_series, dtype=np.float64)

@@ -212,7 +212,6 @@ def train_encoder(
         window_length=plan.length,
     ):
         for epoch in range(config.epochs):
-            encoder.train()
             grad_norms: list[float] = []
             with obs.span("trainer.epoch"):
                 train_loss = _epoch_loss(
@@ -253,7 +252,6 @@ def train_encoder(
             last_good = encoder.state_dict()
             val_loss = None
             if val_count:
-                encoder.eval()
                 with nn.no_grad():
                     val_loss = _epoch_loss(
                         encoder, val_windows, plan.period, config, rng,
@@ -275,5 +273,4 @@ def train_encoder(
         encoder.load_state_dict(best_state)
     elif result.diverged:
         encoder.load_state_dict(last_good)
-    encoder.eval()
     return result

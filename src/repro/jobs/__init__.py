@@ -25,7 +25,6 @@ from .chunking import Chunk, chunk_windows_view, plan_chunks, stitch, window_sta
 from .executor import ChunkedExecutor, ChunkFailedError
 from .manager import JobManager
 from .registry import (
-    BatchedSpectralResidualScorer,
     build_scorer,
     job_detectors,
     register_job_detector,
@@ -67,5 +66,4 @@ __all__ = [
     "register_job_detector",
     "job_detectors",
     "build_scorer",
-    "BatchedSpectralResidualScorer",
 ]

@@ -34,7 +34,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -61,18 +60,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    # ------------------------------------------------------------------
-    # Mode switching
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     # ------------------------------------------------------------------
     # Serialization

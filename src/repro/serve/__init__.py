@@ -48,7 +48,6 @@ from .registry import (
     DiscordWindowScorer,
     ModelEntry,
     ModelRegistry,
-    SpectralResidualWindowScorer,
     TriADWindowScorer,
     WindowScorer,
 )
@@ -71,7 +70,6 @@ from .shard import (
 from .stores import (
     FileBackedStore,
     InMemoryStore,
-    SharedMemoryStore,
     StoreProvider,
     StreamSnapshot,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "StreamSnapshot",
     "InMemoryStore",
     "FileBackedStore",
-    "SharedMemoryStore",
     "AdaptConfig",
     "AdaptationDecision",
     "AdaptationJournal",
@@ -107,7 +104,6 @@ __all__ = [
     "StreamState",
     "WindowScorer",
     "TriADWindowScorer",
-    "SpectralResidualWindowScorer",
     "DiscordWindowScorer",
     "ModelEntry",
     "ModelRegistry",

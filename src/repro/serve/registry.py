@@ -14,7 +14,9 @@ chain mirrors the model-quality ladder::
     TriAD encoder  ->  spectral residual  ->  streaming discord
 
 i.e. learned representations first, a training-free frequency method
-second, and the DAMP-style :class:`~repro.discord.streaming.
+second (:class:`repro.baselines.spectral_residual.
+SpectralResidualWindowScorer`, the scorer the job registry builds under
+the same name), and the DAMP-style :class:`~repro.discord.streaming.
 StreamingDiscordDetector` as the last-resort detector that can never
 refuse a stream.  Retries within one entry follow the installed
 :class:`repro.runtime.RetryPolicy`.
@@ -29,17 +31,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
-from ..baselines.spectral_residual import spectral_residual_saliency
 from ..discord.streaming import BASELINE_WINDOW, StreamingDiscordDetector
-from ..pipeline import TriADWindowScorer, WindowScorer, default_pipeline
+from ..pipeline import TriADWindowScorer, WindowScorer
 from ..runtime import RetryPolicy, RunBudget
-from ..signal.normalize import zscore
 from .stream import ReadyWindow
 
 __all__ = [
     "WindowScorer",
     "TriADWindowScorer",
-    "SpectralResidualWindowScorer",
     "DiscordWindowScorer",
     "ModelEntry",
     "ModelRegistry",
@@ -54,46 +53,6 @@ class DegradationExhaustedError(RuntimeError):
 # The window-scoring contract and the TriAD adapter are defined in the
 # pipeline layer (repro.pipeline.contracts / repro.pipeline.adapters)
 # and re-exported here so existing serve-facing imports keep working.
-
-
-class SpectralResidualWindowScorer(WindowScorer):
-    """Training-free fallback: max spectral-residual saliency per window."""
-
-    name = "spectral-residual"
-
-    def __init__(
-        self,
-        average_window: int = 3,
-        calibration_series: np.ndarray | None = None,
-    ) -> None:
-        self.average_window = average_window
-        self._calibration_series = (
-            np.asarray(calibration_series, dtype=np.float64)
-            if calibration_series is not None
-            else None
-        )
-        self._calibration: dict[tuple[int, int], np.ndarray] = {}
-
-    def calibration_scores(self, length: int, stride: int) -> np.ndarray | None:
-        if self._calibration_series is None or len(self._calibration_series) < length:
-            return None
-        key = (length, stride)
-        if key not in self._calibration:
-            windows, _ = default_pipeline().windows(
-                self._calibration_series, length, stride
-            )
-            self._calibration[key] = self.score_windows(windows, ())
-        return self._calibration[key]
-
-    def score_windows(
-        self, windows: np.ndarray, batch: Sequence[ReadyWindow]
-    ) -> np.ndarray:
-        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-        scores = np.empty(len(windows))
-        for i, window in enumerate(windows):
-            saliency = spectral_residual_saliency(zscore(window), self.average_window)
-            scores[i] = float(saliency.max())
-        return scores
 
 
 class DiscordWindowScorer(WindowScorer):

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..baselines.spectral_residual import SpectralResidualWindowScorer
 from ..data.spec import Dataset
 from ..runtime import RetryPolicy
 from .adapt import AdaptiveController
@@ -24,7 +25,6 @@ from .engine import EngineConfig, ScoringEngine, StreamAlert
 from .registry import (
     DiscordWindowScorer,
     ModelRegistry,
-    SpectralResidualWindowScorer,
     TriADWindowScorer,
     WindowScorer,
 )

@@ -372,7 +372,7 @@ class ShardRouter:
         return self._workers[name].pid
 
     def close(self) -> None:
-        """Stop every worker (politely, then hard) and close the store."""
+        """Stop every worker (politely, then hard)."""
         for worker in self._workers.values():
             try:
                 worker.send(("stop",))
@@ -381,7 +381,6 @@ class ShardRouter:
         for worker in self._workers.values():
             worker.close()
         self._workers.clear()
-        self.store.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -19,17 +19,13 @@ Backends:
 - :class:`FileBackedStore` — one ``.npz`` per stream written
   atomically (tmp + fsync + rename) plus an fsync'd JSONL index
   journal, both through :mod:`repro.runtime.journal` (torn index lines
-  are skipped with a warning).  Survives a supervisor restart.
-- :class:`SharedMemoryStore` — ``multiprocessing.shared_memory``
-  segments named under a namespace, with the stream index itself kept
-  in a shared segment, so a *different process* (or a restarted
-  supervisor) can attach by namespace and pick the fleet's state up
-  without touching disk.
+  are skipped with a warning).  Survives a supervisor restart, and a
+  *different process* that opens the same directory picks the fleet's
+  state up.
 
 Snapshots are serialized without pickle: arrays go into an ``.npz``
 container and scalars into a JSON tree (:func:`payload_to_bytes` /
-:func:`payload_from_bytes`), shared verbatim by the file and
-shared-memory backends.  ``json`` round-trips Python floats exactly
+:func:`payload_from_bytes`).  ``json`` round-trips Python floats exactly
 (shortest repr), so a restored running sum is the bit pattern the
 snapshot captured.
 """
@@ -40,7 +36,6 @@ import hashlib
 import io
 import json
 import os
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +49,6 @@ __all__ = [
     "StoreProvider",
     "InMemoryStore",
     "FileBackedStore",
-    "SharedMemoryStore",
     "payload_to_bytes",
     "payload_from_bytes",
 ]
@@ -100,7 +94,7 @@ class StreamSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Pickle-free payload codec (shared by the file and shm backends)
+# Pickle-free payload codec (the file backend's blob format)
 # ----------------------------------------------------------------------
 def payload_to_bytes(payload: dict) -> bytes:
     """Serialize a tree of JSON scalars and numpy arrays to bytes.
@@ -155,7 +149,7 @@ def payload_from_bytes(data: bytes) -> dict:
 
 
 def _digest(stream_id: str) -> str:
-    """Filesystem/shm-safe stable name for an arbitrary stream id."""
+    """Filesystem-safe stable name for an arbitrary stream id."""
     return hashlib.blake2b(stream_id.encode("utf-8"), digest_size=12).hexdigest()
 
 
@@ -187,15 +181,6 @@ class StoreProvider:
     def save_many(self, snapshots) -> None:
         for snapshot in snapshots:
             self.save(snapshot)
-
-    def close(self) -> None:
-        """Release backend resources (a no-op for most backends)."""
-
-    def __enter__(self) -> "StoreProvider":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class InMemoryStore(StoreProvider):
@@ -291,198 +276,3 @@ class FileBackedStore(StoreProvider):
 
     def stream_ids(self) -> list[str]:
         return sorted(self._index)
-
-
-class SharedMemoryStore(StoreProvider):
-    """Snapshots in named ``multiprocessing.shared_memory`` segments.
-
-    Each stream gets its own segment (``<namespace>-s<N>``) holding a
-    little-endian ``uint64`` length header followed by the payload
-    bytes; segments are over-allocated by 25% so steady-state saves
-    rewrite in place instead of reallocating.  The stream index itself
-    lives in ``<namespace>-index``, so a second
-    ``SharedMemoryStore(namespace=...)`` — in this process or another —
-    attaches to the same fleet state.
-
-    Single-writer per the :class:`StoreProvider` contract; the index
-    segment additionally assumes a single *managing* store at a time
-    (the shard router), with read-only attachers tolerated.
-    """
-
-    _HEADER = struct.Struct("<Q")
-    _SLACK = 1.25
-
-    def __init__(self, namespace: str | None = None) -> None:
-        self.namespace = namespace or f"repro-{os.urandom(6).hex()}"
-        self._segments: dict[str, str] = {}  # stream_id -> segment name
-        self._blocks: dict[str, "object"] = {}  # segment name -> SharedMemory
-        self._sequence = 0
-        self._index_block = None
-        self._attach_index()
-
-    # -- segment plumbing ------------------------------------------------
-    def _shm(self):
-        from multiprocessing import shared_memory
-
-        return shared_memory
-
-    def _attach_index(self) -> None:
-        shm = self._shm()
-        try:
-            block = shm.SharedMemory(name=f"{self.namespace}-index")
-        except FileNotFoundError:
-            return
-        try:
-            index = self._read_block(block)
-        finally:
-            block.close()
-        if index is None:
-            return
-        self._segments = dict(index.get("segments", {}))
-        self._sequence = int(index.get("sequence", len(self._segments)))
-
-    def _read_block(self, block) -> dict | None:
-        (length,) = self._HEADER.unpack_from(block.buf, 0)
-        if length == 0 or length > len(block.buf) - self._HEADER.size:
-            return None
-        raw = bytes(block.buf[self._HEADER.size : self._HEADER.size + length])
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            warnings.warn(
-                f"shared-memory block {block.name}: unreadable index "
-                f"({error!r}); starting empty",
-                stacklevel=2,
-            )
-            return None
-
-    def _write_bytes(self, name_hint: str, data: bytes, existing: str | None):
-        """Write ``data`` into ``existing`` if it fits, else a new segment.
-
-        Returns the segment name the bytes landed in.
-        """
-        shm = self._shm()
-        needed = self._HEADER.size + len(data)
-        block = self._blocks.get(existing) if existing else None
-        if block is not None and len(block.buf) < needed:
-            block.close()
-            block.unlink()
-            self._blocks.pop(existing, None)
-            block = None
-        if block is None:
-            self._sequence += 1
-            name = f"{self.namespace}-{name_hint}{self._sequence}"
-            block = shm.SharedMemory(
-                name=name, create=True, size=max(int(needed * self._SLACK), 64)
-            )
-            self._blocks[name] = block
-        self._HEADER.pack_into(block.buf, 0, len(data))
-        block.buf[self._HEADER.size : self._HEADER.size + len(data)] = data
-        return block.name
-
-    def _publish_index(self) -> None:
-        data = json.dumps(
-            {"segments": self._segments, "sequence": self._sequence},
-            sort_keys=True,
-        ).encode("utf-8")
-        shm = self._shm()
-        needed = self._HEADER.size + len(data)
-        block = self._index_block
-        if block is None:
-            try:
-                block = shm.SharedMemory(name=f"{self.namespace}-index")
-            except FileNotFoundError:
-                block = None
-        if block is not None and len(block.buf) < needed:
-            block.close()
-            block.unlink()
-            block = None
-        if block is None:
-            block = shm.SharedMemory(
-                name=f"{self.namespace}-index",
-                create=True,
-                size=max(int(needed * self._SLACK), 256),
-            )
-        self._HEADER.pack_into(block.buf, 0, len(data))
-        block.buf[self._HEADER.size : self._HEADER.size + len(data)] = data
-        self._index_block = block
-
-    def _attach_segment(self, name: str):
-        block = self._blocks.get(name)
-        if block is None:
-            block = self._shm().SharedMemory(name=name)
-            self._blocks[name] = block
-        return block
-
-    # -- provider API ----------------------------------------------------
-    def save(self, snapshot: StreamSnapshot) -> None:
-        data = payload_to_bytes(snapshot.to_payload())
-        name = self._write_bytes(
-            f"s{_digest(snapshot.stream_id)[:8]}-",
-            data,
-            self._segments.get(snapshot.stream_id),
-        )
-        if self._segments.get(snapshot.stream_id) != name:
-            self._segments[snapshot.stream_id] = name
-            self._publish_index()
-
-    def load(self, stream_id: str) -> StreamSnapshot | None:
-        name = self._segments.get(stream_id)
-        if name is None:
-            return None
-        try:
-            block = self._attach_segment(name)
-        except FileNotFoundError:
-            return None
-        (length,) = self._HEADER.unpack_from(block.buf, 0)
-        if length == 0 or length > len(block.buf) - self._HEADER.size:
-            return None
-        raw = bytes(block.buf[self._HEADER.size : self._HEADER.size + length])
-        try:
-            return StreamSnapshot.from_payload(payload_from_bytes(raw))
-        except Exception as error:  # noqa: BLE001 - corrupt blob == missing
-            warnings.warn(
-                f"shared-memory segment {name}: unreadable snapshot "
-                f"({error!r}); treating as missing",
-                stacklevel=2,
-            )
-            return None
-
-    def delete(self, stream_id: str) -> None:
-        name = self._segments.pop(stream_id, None)
-        if name is None:
-            return
-        block = self._blocks.pop(name, None)
-        if block is None:
-            try:
-                block = self._shm().SharedMemory(name=name)
-            except FileNotFoundError:
-                block = None
-        if block is not None:
-            block.close()
-            block.unlink()
-        self._publish_index()
-
-    def stream_ids(self) -> list[str]:
-        return sorted(self._segments)
-
-    def close(self, unlink: bool = True) -> None:
-        """Detach (and by default unlink) every segment this store owns."""
-        for block in self._blocks.values():
-            block.close()
-            if unlink:
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-        self._blocks.clear()
-        if self._index_block is not None:
-            self._index_block.close()
-            if unlink:
-                try:
-                    self._index_block.unlink()
-                except FileNotFoundError:
-                    pass
-            self._index_block = None
-        if unlink:
-            self._segments.clear()

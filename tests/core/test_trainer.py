@@ -46,10 +46,6 @@ class TestTrainEncoder:
         b = train_encoder(noisy_wave, fast_config.with_overrides(seed=7))
         assert a.train_losses != b.train_losses
 
-    def test_encoder_left_in_eval_mode(self, noisy_wave, fast_config):
-        result = train_encoder(noisy_wave, fast_config)
-        assert not result.encoder.training
-
     def test_ablated_domains_trainable(self, noisy_wave, fast_config):
         config = fast_config.with_overrides(domains=("temporal", "frequency"))
         result = train_encoder(noisy_wave, config)

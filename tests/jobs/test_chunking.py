@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.spectral_residual import SpectralResidualWindowScorer
 from repro.jobs import Chunk, chunk_windows_view, plan_chunks, stitch, window_starts
-from repro.jobs.registry import BatchedSpectralResidualScorer
 from repro.signal.windows import sliding_windows
 
 
@@ -67,7 +67,7 @@ def test_stitch_is_bit_identical_to_single_pass(chunk_windows):
     rng = np.random.default_rng(9)
     series = np.sin(np.arange(900) / 11.0) + 0.1 * rng.standard_normal(900)
     length, stride = 60, 13
-    scorer = BatchedSpectralResidualScorer()
+    scorer = SpectralResidualWindowScorer()
 
     windows, starts = sliding_windows(series, length, stride)
     reference_windows = scorer.score_windows(windows, [None] * len(windows))

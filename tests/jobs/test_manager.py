@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import TriAD, TriADConfig, obs
+from repro.baselines import SpectralResidualWindowScorer
 from repro.jobs import (
     CANCELLED,
     FAILED,
@@ -19,11 +20,7 @@ from repro.jobs import (
     job_detectors,
     register_job_detector,
 )
-from repro.jobs.registry import (
-    BatchedSpectralResidualScorer,
-    build_scorer,
-    resolve_plan,
-)
+from repro.jobs.registry import build_scorer, resolve_plan
 from repro.pipeline import from_triad
 from repro.pipeline.contracts import WindowScorer
 from repro.pipeline.scores import spread_window_scores
@@ -164,7 +161,7 @@ def register_sigkill_on_first_chunk():
     it normally."""
     test_pid = os.getpid()
 
-    class SigkillOnFirstChunk(BatchedSpectralResidualScorer):
+    class SigkillOnFirstChunk(SpectralResidualWindowScorer):
         def score_windows(self, windows, batch):
             if batch[0].start_index == 0 and os.getpid() != test_pid:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -204,7 +201,7 @@ def test_job_result_equals_single_batched_pass(tmp_path, workers, sigkill, hang_
 
     length, stride = record.spec.window_length, record.spec.stride
     windows, starts = sliding_windows(series, length, stride)
-    single = BatchedSpectralResidualScorer().score_windows(windows, ())
+    single = SpectralResidualWindowScorer().score_windows(windows, ())
     reference = spread_window_scores(single, starts, length, len(series))
     assert np.array_equal(manager.result(record.job_id), reference)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.spectral_residual import SpectralResidualWindowScorer
 from repro.jobs import (
     RUNNING,
     SUCCEEDED,
@@ -21,7 +22,6 @@ from repro.jobs import (
     JobStore,
     register_job_detector,
 )
-from repro.jobs.registry import BatchedSpectralResidualScorer
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -33,11 +33,11 @@ DRIVER = f"""
 import sys, time
 sys.path.insert(0, {str(REPO_SRC)!r})
 import numpy as np
+from repro.baselines.spectral_residual import SpectralResidualWindowScorer
 from repro.jobs import JobManager, JobSpec, register_job_detector
-from repro.jobs.registry import BatchedSpectralResidualScorer
 
 
-class SlowScorer(BatchedSpectralResidualScorer):
+class SlowScorer(SpectralResidualWindowScorer):
     def score_windows(self, windows, batch):
         time.sleep(0.3)  # slow enough for the parent to SIGKILL mid-run
         return super().score_windows(windows, batch)
@@ -109,7 +109,7 @@ def test_kill9_mid_run_resumes_bit_identical(tmp_path):
     # half-finished job, and run() replays the journaled chunks.
     register_job_detector(
         "slow-sr",
-        lambda train, params: (BatchedSpectralResidualScorer(), WINDOW, STRIDE),
+        lambda train, params: (SpectralResidualWindowScorer(), WINDOW, STRIDE),
     )
     spec = JobSpec(
         detector="slow-sr",

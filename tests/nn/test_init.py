@@ -11,12 +11,10 @@ from repro.nn import init
 
 class TestFans:
     def test_linear_shape(self):
-        fan_in, fan_out = init._fans((8, 3))
-        assert (fan_in, fan_out) == (3, 8)
+        assert init._fan_in((8, 3)) == 3
 
     def test_conv_shape(self):
-        fan_in, fan_out = init._fans((16, 4, 3))
-        assert (fan_in, fan_out) == (12, 48)
+        assert init._fan_in((16, 4, 3)) == 12
 
 
 class TestInitializers:
@@ -34,9 +32,6 @@ class TestInitializers:
     def test_uniform_fan_in_zero_fan_safe(self, rng):
         values = init.uniform_fan_in((4,), fan_in=0, rng=rng)
         assert np.all(np.abs(values) <= 1.0)
-
-    def test_zeros(self):
-        assert np.array_equal(init.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_variance_scales_with_fan(self, rng):
         wide = init.kaiming_uniform((8, 1000), np.random.default_rng(0))

@@ -42,17 +42,6 @@ class TestRegistration:
         assert p.requires_grad
 
 
-class TestModes:
-    def test_train_eval_propagates(self):
-        seq = nn.Sequential(nn.Identity(), nn.ReLU())
-        assert seq.training
-        seq.eval()
-        assert not seq.training
-        assert not seq[0].training
-        seq.train()
-        assert seq[0].training
-
-
 class TestStateDict:
     def test_roundtrip(self):
         a = Small()

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import SpectralResidualWindowScorer
 from repro.runtime import RetryPolicy
 from repro.serve.registry import (
     DegradationExhaustedError,
     DiscordWindowScorer,
     ModelRegistry,
-    SpectralResidualWindowScorer,
     WindowScorer,
 )
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines import SpectralResidualWindowScorer
 from repro.data import make_archive
 from repro.serve import (
     FailAfter,
@@ -69,8 +70,6 @@ class TestFailoverDrill:
     def test_forced_failure_degrades_without_dropping_streams(self, unit):
         from repro.signal.windows import plan_windows
 
-        from repro.serve.registry import SpectralResidualWindowScorer
-
         plan = plan_windows(unit.train, max_length=256)
         registry = build_registry(
             train_series=unit.train,
@@ -106,8 +105,6 @@ class TestFailoverDrill:
         assert report.detected
 
     def test_fail_after_delegates_until_the_injected_failure(self, unit):
-        from repro.serve.registry import SpectralResidualWindowScorer
-
         inner = SpectralResidualWindowScorer(calibration_series=unit.train)
         wrapped = FailAfter(inner, healthy_calls=2)
         windows = np.random.default_rng(0).normal(size=(3, 64))

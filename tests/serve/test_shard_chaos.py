@@ -9,7 +9,7 @@ import signal
 import pytest
 
 from repro.serve.shard import ShardRouter, WorkerDiedError
-from repro.serve.stores import FileBackedStore, InMemoryStore, SharedMemoryStore
+from repro.serve.stores import FileBackedStore, InMemoryStore
 from repro.serve.supervisor import ShardSupervisor
 
 from .test_shard import make_feed, make_spec, run_rounds, run_unsharded
@@ -18,9 +18,7 @@ from .test_shard import make_feed, make_spec, run_rounds, run_unsharded
 def make_store(kind: str, tmp_path):
     if kind == "memory":
         return InMemoryStore()
-    if kind == "file":
-        return FileBackedStore(tmp_path / "store")
-    return SharedMemoryStore(f"repro-chaos-{os.getpid()}")
+    return FileBackedStore(tmp_path / "store")
 
 
 def kill_worker(router: ShardRouter, name: str) -> None:
@@ -30,7 +28,7 @@ def kill_worker(router: ShardRouter, name: str) -> None:
     router._workers[name].process.join(timeout=5.0)
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "shm"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 def test_kill_nine_recovery_is_bit_identical(backend, tmp_path):
     spec = make_spec()
     feed = make_feed()

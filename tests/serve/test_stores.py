@@ -8,7 +8,6 @@ import pytest
 from repro.serve.stores import (
     FileBackedStore,
     InMemoryStore,
-    SharedMemoryStore,
     StreamSnapshot,
     payload_from_bytes,
     payload_to_bytes,
@@ -31,16 +30,11 @@ def make_snapshot(rng, stream_id="unit/7") -> StreamSnapshot:
     )
 
 
-@pytest.fixture(params=["memory", "file", "shm"])
+@pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
-        backend = InMemoryStore()
-    elif request.param == "file":
-        backend = FileBackedStore(tmp_path / "store")
-    else:
-        backend = SharedMemoryStore(f"repro-test-{request.node.callspec.id}")
-    yield backend
-    backend.close()
+        return InMemoryStore()
+    return FileBackedStore(tmp_path / "store")
 
 
 class TestPayloadCodec:
@@ -147,7 +141,6 @@ class TestFileBackedStore:
         snapshot = make_snapshot(rng)
         first = FileBackedStore(tmp_path / "s")
         first.save(snapshot)
-        first.close()
         second = FileBackedStore(tmp_path / "s")
         assert second.stream_ids() == [snapshot.stream_id]
         assert second.load(snapshot.stream_id).stream["count"] == (
@@ -185,44 +178,3 @@ class TestFileBackedStore:
         for i in range(4):
             store.save(make_snapshot(rng, f"s{i}"))
         assert not list((tmp_path / "s").glob("*.tmp"))
-
-
-class TestSharedMemoryStore:
-    def test_reattach_by_namespace(self, rng):
-        snapshot = make_snapshot(rng)
-        owner = SharedMemoryStore("repro-test-reattach")
-        try:
-            owner.save(snapshot)
-            attacher = SharedMemoryStore("repro-test-reattach")
-            assert attacher.stream_ids() == [snapshot.stream_id]
-            loaded = attacher.load(snapshot.stream_id)
-            assert np.array_equal(
-                loaded.stream["buffer"]["data"],
-                snapshot.stream["buffer"]["data"],
-            )
-            attacher.close(unlink=False)
-        finally:
-            owner.close()
-
-    def test_grows_segment_when_snapshot_outgrows_it(self, rng):
-        store = SharedMemoryStore("repro-test-grow")
-        try:
-            small = StreamSnapshot("s", StreamState("s", 4, 2).snapshot())
-            store.save(small)
-            big_state = StreamState("s", 512, 2)
-            big_state.extend(rng.normal(size=512))
-            store.save(StreamSnapshot("s", big_state.snapshot()))
-            loaded = store.load("s")
-            assert loaded.stream["length"] == 512
-        finally:
-            store.close()
-
-    def test_close_unlink_removes_segments(self, rng):
-        store = SharedMemoryStore("repro-test-unlink")
-        store.save(make_snapshot(rng))
-        store.close(unlink=True)
-        fresh = SharedMemoryStore("repro-test-unlink")
-        try:
-            assert fresh.stream_ids() == []
-        finally:
-            fresh.close()
