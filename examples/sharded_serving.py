@@ -7,7 +7,7 @@ a single address space.  This example drives the shard fabric
 1. partition a fleet of streams across worker processes by consistent
    hash (:class:`repro.serve.ShardRouter`), with per-stream state
    externalized through a file-backed store;
-2. ``kill -9`` a worker mid-run and watch the supervisor heal it —
+2. ``kill -9`` a worker mid-run and watch the router heal it —
    respawn, rehydrate from the store, replay unacked batches — with
    the final scores bit-identical to an undisturbed run;
 3. scale the fleet from 2 to 3 workers mid-stream; only the streams
@@ -25,11 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.baselines.spectral_residual import SpectralResidualWindowScorer
 from repro.serve import (
+    EngineConfig,
     FileBackedStore,
-    ShardSupervisor,
-    WorkerSpec,
-    build_worker_engine,
+    ModelRegistry,
+    RecordingEngine,
+    ShardRouter,
 )
 
 STREAMS = 16
@@ -55,22 +57,25 @@ def main() -> None:
     t = np.arange(800)
     train = np.sin(2 * np.pi * t / 32)
     train += 0.03 * np.random.default_rng(5).standard_normal(len(t))
-    # A WorkerSpec is a picklable recipe, not a live model: each worker
-    # builds its own scorer by registry name at spawn, which is what
-    # makes respawning a dead worker trivial.
-    spec = WorkerSpec(
-        detector="spectral-residual",
-        params={"max_window": 64, "seed": 0},
-        train=train,
-        window_length=32,
-        stride=8,
-        engine={"max_batch": 32, "score_baseline": 64, "warmup_scores": 8},
-        record_scores=True,  # so we can prove bit-identity below
+    # The scorer is built once, here; every worker (and every respawn)
+    # gets it by fork, so the factory closes over a live object.  A
+    # RecordingEngine logs each window score so we can prove
+    # bit-identity below.
+    scorer = SpectralResidualWindowScorer(calibration_series=train)
+    config = EngineConfig(
+        window_length=32, stride=8, max_batch=32, score_baseline=64,
+        warmup_scores=8,
     )
+
+    def make_engine() -> RecordingEngine:
+        registry = ModelRegistry()
+        registry.register(scorer)
+        return RecordingEngine(registry, config)
+
     fleet = make_fleet()
 
     print("=== reference: one in-process engine ===")
-    engine = build_worker_engine(spec)
+    engine = make_engine()
     reference_alerts = []
     for position in range(0, CHUNK * ROUNDS, CHUNK):
         for stream_id, series in fleet.items():
@@ -84,29 +89,28 @@ def main() -> None:
     print("\n=== sharded run with a kill -9 and a mid-stream scale-out ===")
     store_dir = Path(tempfile.mkdtemp(prefix="shard-example-")) / "store"
     records, alerts = [], []
-    with ShardSupervisor(
-        spec, workers=2, store=FileBackedStore(store_dir)
-    ) as supervisor:
+    with ShardRouter(
+        make_engine, workers=2, store=FileBackedStore(store_dir)
+    ) as router:
         for round_index, position in enumerate(range(0, CHUNK * ROUNDS, CHUNK)):
             if round_index == 3:
-                victim = supervisor.router.workers[0]
-                pid = supervisor.kill_worker(victim)
+                victim = router.workers[0]
+                pid = router.kill_worker(victim)
                 print(f"round {round_index}: SIGKILLed {victim} (pid {pid})")
             if round_index == 5:
-                summary = supervisor.scale_to(3)
-                moved = sum(len(ids) for ids in summary["moved"].values())
+                moved = router.add_worker("w2")
                 print(f"round {round_index}: scaled to 3 workers, "
-                      f"{moved}/{STREAMS} streams migrated")
+                      f"{len(moved)}/{STREAMS} streams migrated")
             batch = [
                 (stream_id, series[position : position + CHUNK])
                 for stream_id, series in fleet.items()
             ]
-            alerts.extend(supervisor.submit(batch))
-            records.extend(supervisor.router.last_records)
-        report = supervisor.report()
+            alerts.extend(router.submit(batch))
+            records.extend(router.last_records)
+        report = router.report()
 
     print(f"scored {len(records)} windows, {len(alerts)} alerts, "
-          f"heals={report['heals']}, respawns={report['respawns']}")
+          f"respawns={report['respawns']}")
     for name, count in sorted(report["ring"].items()):
         print(f"  {name}: {count} streams")
 

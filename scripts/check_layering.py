@@ -18,15 +18,11 @@ growing back.
     7  viz, cli          (presentation; imports lazily anyway)
 
 ``repro.jobs`` additionally faces a *consumer* restriction
-(``RESTRICTED_CONSUMERS``): only ``cli`` and ``serve`` may import it,
-at any scope.  The job fabric is an orchestration shell around the
+(``RESTRICTED_CONSUMERS``): only ``cli`` may import it, at any scope.  The job fabric is an orchestration shell around the
 lower layers — letting eval/core reach back into it would create
 exactly the cyclic "everything drives everything" coupling the
 subsystem was built to avoid.  What eval and jobs share, the fan-out
-``parallel_map``, lives below both in ``runtime.workers``.  ``serve`` earned the exemption when
-the shard fabric started building worker scorers through the
-string-named ``jobs.registry`` detectors; the import must still be
-function-scoped because serve sits *below* jobs in the layer map.
+``parallel_map``, lives below both in ``runtime.workers``.
 
 Note: this order deviates from an idealized "observability above the
 model" stacking — ``core`` instruments itself through ``obs`` and
@@ -36,7 +32,7 @@ lint encodes the dependency reality and keeps it a DAG.
 Within ``repro.serve`` a second, finer map (``SERVE_SUBLAYERS``) keeps
 the serving subsystem itself a DAG: the engine at the centre, the
 shard fabric and the adaptive controller each built on it, and the
-supervisor and replay harness driving them:
+replay harness driving them:
 
     0  stream            (ring buffers, per-stream window state)
     1  stores            (pluggable stream-state store backends)
@@ -44,9 +40,8 @@ supervisor and replay harness driving them:
     3  engine            (micro-batching scorer; state externalization)
     4  shard             (hash ring, worker processes, router)
     5  adapt             (drift -> retrain -> promote controller)
-    6  supervisor        (fleet health/scaling policy over the router)
-    7  replay            (harness + chaos injectors, drives adapt)
-    8  __init__          (facade)
+    6  replay            (harness + chaos injectors, drives adapt)
+    7  __init__          (facade)
 
 Within ``repro.discord`` a third map (``DISCORD_SUBLAYERS``) keeps the
 discord subsystem a DAG around the shared kernel layer: scalar
@@ -68,8 +63,8 @@ hatch below does not apply to them.
 
 Only module-scope imports count for the layer maps.  Function-level
 imports are the sanctioned escape hatch for presentation-layer laziness and genuine
-back-references (e.g. ``pipeline.adapters`` loading ``core.persistence``
-inside ``from_file``); ``if TYPE_CHECKING:`` blocks are typing-only and
+back-references (e.g. ``jobs.registry`` building ``core.TriAD`` inside
+its builders); ``if TYPE_CHECKING:`` blocks are typing-only and
 exempt.
 
 Exit status 0 when clean, 1 with one ``file:line`` diagnostic per
@@ -117,7 +112,7 @@ LAYERS: dict[str, int] = {
 # dependency on it, and even the facade stays clean so ``import repro``
 # never drags in multiprocessing machinery.
 RESTRICTED_CONSUMERS: dict[str, frozenset[str]] = {
-    "jobs": frozenset({"cli", "serve"}),
+    "jobs": frozenset({"cli"}),
 }
 
 # Packages that must stay *import-leaves*: no ``repro.*`` import at ANY
@@ -139,9 +134,8 @@ SERVE_SUBLAYERS: dict[str, int] = {
     "engine": 3,
     "shard": 4,
     "adapt": 5,
-    "supervisor": 6,
-    "replay": 7,
-    "__init__": 8,
+    "replay": 6,
+    "__init__": 7,
 }
 
 # Intra-``repro.discord`` sublayers: everything sits on the shared

@@ -178,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--metrics-out", type=Path, default=None,
                          help="export observability metrics recorded during "
                               "the replay as JSONL")
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="replay through the sharded multi-worker "
-                              "fabric instead of the in-process engine "
-                              "(docs/SHARDING.md); incompatible with "
-                              "--adapt/--chaos/--fail-primary")
 
     p_shard = sub.add_parser(
         "serve-shard",
@@ -191,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--dataset", type=str, default="4",
                          help="archive index, or path to a real UCR file")
     p_shard.add_argument("--detector", type=str, default="spectral-residual",
-                         help="jobs.registry detector name each worker "
-                              "builds its scorer from")
+                         help="jobs.registry detector name; the scorer "
+                              "is built once and every worker forks it")
     p_shard.add_argument("--workers", type=int, default=4,
                          help="worker processes on the hash ring")
     p_shard.add_argument("--streams", type=int, default=64,
@@ -209,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="window-length cap for the detector plan")
     p_shard.add_argument("--kill-worker", action="store_true",
                          help="chaos drill: SIGKILL one worker mid-run and "
-                              "let the supervisor heal it")
+                              "let the router heal it")
     p_shard.add_argument("--seed", type=int, default=0)
     p_shard.add_argument("--json", type=Path, default=None,
                          help="also write the fabric report as JSON")
@@ -497,96 +492,84 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _run_sharded_replay(
-    dataset,
-    spec,
-    workers: int,
-    streams: int,
-    chunk: int,
-    store_kind: str = "memory",
-    store_dir=None,
-    kill_worker: bool = False,
-    json_out=None,
-) -> int:
+def _cmd_serve_shard(args) -> int:
     """Feed ``dataset.test`` as N identical streams through the fabric."""
     import json as json_module
+    import tempfile
     import time as time_module
 
-    from .serve import FileBackedStore, InMemoryStore, ShardSupervisor
-
-    if store_kind == "file":
-        import tempfile
-
-        store = FileBackedStore(store_dir or tempfile.mkdtemp(prefix="repro-shard-"))
-    else:
-        store = InMemoryStore()
-    series = np.asarray(dataset.test, dtype=np.float64)
-    ids = [f"{dataset.name}#{i}" for i in range(streams)]
-    rounds = max((len(series) + chunk - 1) // chunk, 1)
-    kill_round = rounds // 2
-    alerts = 0
-    with ShardSupervisor(spec, workers=workers, store=store) as supervisor:
-        start_time = time_module.perf_counter()
-        for round_index, start in enumerate(range(0, len(series), chunk)):
-            if kill_worker and round_index == kill_round:
-                victim = supervisor.router.workers[0]
-                pid = supervisor.kill_worker(victim)
-                print(f"chaos: SIGKILLed worker {victim} (pid {pid})")
-            batch = [(sid, series[start : start + chunk]) for sid in ids]
-            alerts += len(supervisor.submit(batch))
-        duration = time_module.perf_counter() - start_time
-        report = supervisor.report()
-    points = len(series) * len(ids)
-    print(f"\nsharded replay: {points} points over {len(ids)} streams, "
-          f"{workers} workers, store={store_kind}")
-    print(f"  throughput: {points / max(duration, 1e-9):,.0f} points/s "
-          f"({duration:.2f}s)")
-    print(f"  alerts: {alerts}   respawns: {report['respawns']}   "
-          f"heals: {report['heals']}")
-    for name, ring_count in sorted(report["ring"].items()):
-        worker = report["workers"].get(name, {})
-        scored = worker.get("windows_scored", "?")
-        print(f"  {name}: {ring_count} streams, {scored} windows scored")
-    if json_out is not None:
-        payload = {
-            "points": points,
-            "streams": len(ids),
-            "workers": workers,
-            "store": store_kind,
-            "duration_s": duration,
-            "alerts": alerts,
-            "report": report,
-        }
-        json_out.write_text(
-            json_module.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote fabric report to {json_out}")
-    return 0
-
-
-def _cmd_serve_shard(args) -> int:
-    from .serve import WorkerSpec
+    from .jobs.registry import build_scorer
+    from .serve import (
+        EngineConfig,
+        FileBackedStore,
+        InMemoryStore,
+        ModelRegistry,
+        ScoringEngine,
+        ShardRouter,
+    )
 
     dataset = _load_dataset(args.dataset)
     print(f"dataset {dataset.name}: test={len(dataset.test)} "
           f"streams={args.streams} workers={args.workers} "
           f"detector={args.detector}")
-    spec = WorkerSpec(
-        detector=args.detector,
-        params={"max_window": args.max_window, "seed": args.seed},
-        train=np.asarray(dataset.train, dtype=np.float64),
+    scorer, length, stride = build_scorer(
+        args.detector,
+        dataset.train,
+        {"max_window": args.max_window, "seed": args.seed},
     )
-    return _run_sharded_replay(
-        dataset,
-        spec,
-        workers=args.workers,
-        streams=args.streams,
-        chunk=args.chunk,
-        store_kind=args.store,
-        store_dir=args.store_dir,
-        kill_worker=args.kill_worker,
-        json_out=args.json,
-    )
+    config = EngineConfig(window_length=length, stride=stride)
+
+    def make_engine() -> ScoringEngine:
+        registry = ModelRegistry()
+        registry.register(scorer)
+        return ScoringEngine(registry, config)
+
+    if args.store == "file":
+        store = FileBackedStore(
+            args.store_dir or tempfile.mkdtemp(prefix="repro-shard-")
+        )
+    else:
+        store = InMemoryStore()
+    series = np.asarray(dataset.test, dtype=np.float64)
+    ids = [f"{dataset.name}#{i}" for i in range(args.streams)]
+    kill_round = max((len(series) + args.chunk - 1) // args.chunk, 1) // 2
+    alerts = 0
+    with ShardRouter(make_engine, workers=args.workers, store=store) as router:
+        start_time = time_module.perf_counter()
+        for round_index, start in enumerate(range(0, len(series), args.chunk)):
+            if args.kill_worker and round_index == kill_round:
+                victim = router.workers[0]
+                pid = router.kill_worker(victim)
+                print(f"chaos: SIGKILLed worker {victim} (pid {pid})")
+            batch = [(sid, series[start : start + args.chunk]) for sid in ids]
+            alerts += len(router.submit(batch))
+        duration = time_module.perf_counter() - start_time
+        report = router.report()
+    points = len(series) * len(ids)
+    print(f"\nsharded replay: {points} points over {len(ids)} streams, "
+          f"{args.workers} workers, store={args.store}")
+    print(f"  throughput: {points / max(duration, 1e-9):,.0f} points/s "
+          f"({duration:.2f}s)")
+    print(f"  alerts: {alerts}   respawns: {report['respawns']}")
+    for name, ring_count in sorted(report["ring"].items()):
+        worker = report["workers"].get(name, {})
+        scored = worker.get("windows_scored", "?")
+        print(f"  {name}: {ring_count} streams, {scored} windows scored")
+    if args.json is not None:
+        payload = {
+            "points": points,
+            "streams": len(ids),
+            "workers": args.workers,
+            "store": args.store,
+            "duration_s": duration,
+            "alerts": alerts,
+            "report": report,
+        }
+        args.json.write_text(
+            json_module.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"wrote fabric report to {args.json}")
+    return 0
 
 
 def _cmd_serve_replay(args) -> int:
@@ -601,14 +584,6 @@ def _cmd_serve_replay(args) -> int:
     dataset = _load_dataset(args.dataset)
     print(f"dataset {dataset.name}: test={len(dataset.test)} "
           f"streams={args.streams}")
-
-    if args.workers > 1 and (
-        args.adapt or args.chaos is not None or args.fail_primary is not None
-    ):
-        print("--workers is incompatible with --adapt/--chaos/--fail-primary "
-              "(the sharded fabric runs plain scoring; see docs/SHARDING.md)",
-              file=sys.stderr)
-        return 2
 
     config = TriADConfig(
         epochs=args.epochs, seed=args.seed, max_window=args.max_window
@@ -625,32 +600,6 @@ def _cmd_serve_replay(args) -> int:
         detector = TriAD(config).fit(dataset.train)
         print(f"trained TriAD primary ({args.epochs} epochs)")
 
-    if args.workers > 1:
-        import tempfile
-
-        from .core import save_detector
-        from .serve import WorkerSpec
-
-        if detector is not None:
-            detector_path = Path(tempfile.mkdtemp(prefix="repro-shard-")) / "primary.npz"
-            save_detector(detector, detector_path)
-            spec = WorkerSpec(detector_file=str(detector_path))
-            print(f"workers load the fitted primary from {detector_path}")
-        else:
-            spec = WorkerSpec(
-                detector="spectral-residual",
-                params={"max_window": args.max_window, "seed": args.seed},
-                train=np.asarray(dataset.train, dtype=np.float64),
-            )
-            print("workers build the training-free spectral-residual scorer")
-        return _run_sharded_replay(
-            dataset,
-            spec,
-            workers=args.workers,
-            streams=args.streams,
-            chunk=256,
-            json_out=args.json,
-        )
     if detector is not None:
         plan = detector.plan
     else:

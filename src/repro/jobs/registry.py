@@ -8,8 +8,8 @@ job should score under — the same contract the serving registry hosts,
 so TriAD, every baseline, and custom scorers are all submittable.  A
 name means one scorer everywhere: ``spectral-residual`` builds the
 :class:`~repro.baselines.spectral_residual.SpectralResidualWindowScorer`
-the serving degradation chain registers, which is also what shard
-workers score with (:func:`repro.serve.shard.build_worker_engine`).
+the serving degradation chain registers, which is also what ``repro
+serve-shard`` builds once in the parent and forks to its workers.
 
 ``register_job_detector`` is the extension point: tests and downstream
 code can plug custom builders (the kill-resume drills register a

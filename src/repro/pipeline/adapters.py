@@ -22,7 +22,6 @@ the pipeline layer stays below all three.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,19 +71,6 @@ class TriADWindowScorer(WindowScorer):
             d: (r**2).sum(axis=1) for d, r in self._train_reps.items()
         }
         self._calibration: np.ndarray | None = None
-
-    @classmethod
-    def from_file(cls, path: str | os.PathLike, **kwargs) -> "TriADWindowScorer":
-        """Build from a detector saved with :func:`repro.core.save_detector`."""
-        from ..core.persistence import load_detector
-
-        return cls(load_detector(path), **kwargs)
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist the wrapped detector with :func:`repro.core.save_detector`."""
-        from ..core.persistence import save_detector
-
-        save_detector(self._detector, path)
 
     def score_windows(self, windows, batch) -> np.ndarray:
         windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))

@@ -11,8 +11,8 @@ the drift -> retrain -> promote loop (:mod:`repro.serve.adapt`, see
 injectors (:mod:`repro.serve.replay`, surfaced as ``repro
 serve-replay``), and a sharded multi-worker fabric with pluggable
 stream-state stores (:mod:`repro.serve.stores`,
-:mod:`repro.serve.shard`, :mod:`repro.serve.supervisor`, surfaced as
-``repro serve-shard`` — see ``docs/SHARDING.md``).
+:mod:`repro.serve.shard`, surfaced as ``repro serve-shard`` — see
+``docs/SHARDING.md``).
 
 Quick start::
 
@@ -59,14 +59,7 @@ from .replay import (
     build_registry,
     replay_dataset,
 )
-from .shard import (
-    HashRing,
-    RecordingEngine,
-    ShardRouter,
-    WorkerDiedError,
-    WorkerSpec,
-    build_worker_engine,
-)
+from .shard import HashRing, RecordingEngine, ShardRouter
 from .stores import (
     FileBackedStore,
     InMemoryStore,
@@ -74,16 +67,11 @@ from .stores import (
     StreamSnapshot,
 )
 from .stream import ReadyWindow, RingBuffer, StreamState
-from .supervisor import ShardSupervisor
 
 __all__ = [
     "HashRing",
     "RecordingEngine",
     "ShardRouter",
-    "ShardSupervisor",
-    "WorkerDiedError",
-    "WorkerSpec",
-    "build_worker_engine",
     "StoreProvider",
     "StreamSnapshot",
     "InMemoryStore",

@@ -24,7 +24,6 @@ refuse a stream.  Retries within one entry follow the installed
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -229,13 +228,6 @@ class ModelRegistry:
         if chain and name not in self._chain:
             self._chain.append(name)
         return entry
-
-    def register_detector_file(
-        self, path: str | os.PathLike, name: str | None = None, **kwargs
-    ) -> ModelEntry:
-        """Register a persisted TriAD detector (``save_detector`` npz)."""
-        scorer = TriADWindowScorer.from_file(path)
-        return self.register(scorer, name=name, **kwargs)
 
     def promote(self, name: str, version: int) -> ModelEntry:
         """Hot-swap the active version of ``name``; clears its breaker."""

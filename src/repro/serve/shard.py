@@ -5,7 +5,7 @@ core.  This module splits the stream population across N worker
 processes (:class:`repro.runtime.workers.ForkWorker`), each running
 its own engine over the streams a consistent hash assigns it, with all
 per-stream state externalized through a
-:class:`~repro.serve.stores.StoreProvider` so workers are stateless and
+:class:`~repro.serve.stores.StoreProvider` so workers are
 restartable.
 
 Topology and guarantees:
@@ -27,40 +27,39 @@ Topology and guarantees:
   batches in their original order.  Because every acked batch's
   post-state is in the store and un-acked batches re-run from that
   state, the recovered run's scores and alerts are bit-identical to an
-  uninterrupted one, and no acknowledged stream is ever lost.
+  uninterrupted one, and no acknowledged stream is ever lost.  The
+  exactness holds for stateless scorers: a snapshot carries window,
+  baseline and drift state, never state the scorer or registry keeps.
 - **Migration** — ``add_worker`` / ``remove_worker`` export the moved
   streams (engine → snapshot → store) and hydrate them into their new
   owner; :meth:`~repro.serve.engine.ScoringEngine.import_stream`'s
   exactness contract makes the move invisible in the score series.
 
-Workers build their scorers by *name* through
-:func:`repro.jobs.registry.build_scorer` (the same string registry the
-bulk-inference fabric uses), so a :class:`WorkerSpec` is a small
-picklable recipe, not a live model.  See ``docs/SHARDING.md``.
+Workers are forks: the router takes a zero-argument
+``make_engine`` callable, and each worker calls it after
+:class:`~repro.runtime.workers.ForkWorker` forks it (fork args are
+inherited, never pickled).  A scorer fitted once in the parent thus
+reaches every worker and every respawn as it stands.  See
+``docs/SHARDING.md``.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import os
+import signal
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .. import obs
 from ..runtime.workers import ForkWorker, WorkerDied
-from .engine import EngineConfig, ScoringEngine, StreamAlert
+from .engine import ScoringEngine, StreamAlert
 from .stores import InMemoryStore, StoreProvider, StreamSnapshot
 
-__all__ = [
-    "HashRing",
-    "WorkerSpec",
-    "WorkerDiedError",
-    "RecordingEngine",
-    "ShardRouter",
-    "build_worker_engine",
-]
+__all__ = ["HashRing", "RecordingEngine", "ShardRouter"]
 
 
 # ----------------------------------------------------------------------
@@ -132,39 +131,13 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# Worker recipe and engine construction
+# Engine with a score log
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker needs to build its engine, by value.
-
-    ``detector`` is a :func:`repro.jobs.registry.build_scorer` name
-    (``spectral-residual``, ``triad``, ...) fitted inside the worker on
-    ``train``; ``detector_file`` instead loads a persisted TriAD
-    detector (``save_detector`` npz) — the serve-replay path, where the
-    model is trained once up front and shared by every worker.
-    ``window_length``/``stride`` override the built scorer's plan;
-    ``engine`` holds :class:`~repro.serve.engine.EngineConfig` overrides
-    (``max_batch``, ``score_baseline``, ...).  ``record_scores`` makes
-    workers return every (stream, index, score) triple alongside alerts
-    — the bit-identity drills (``tests/serve/test_shard_chaos.py``)
-    compare those against an unsharded :class:`RecordingEngine`.
-    """
-
-    detector: str = "spectral-residual"
-    params: dict = field(default_factory=dict)
-    train: np.ndarray | None = None
-    detector_file: str | None = None
-    window_length: int | None = None
-    stride: int | None = None
-    engine: dict = field(default_factory=dict)
-    record_scores: bool = False
-
-
 class RecordingEngine(ScoringEngine):
     """A :class:`ScoringEngine` that logs every judged (stream, index,
-    score) triple.  Workers use it when ``spec.record_scores`` is set;
-    the unsharded reference in parity tests uses it directly."""
+    score) triple.  Workers whose factory builds one return the triples
+    with each batch; the bit-identity drills compare them against an
+    unsharded instance."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -177,42 +150,6 @@ class RecordingEngine(ScoringEngine):
     def take_records(self) -> list[tuple[str, int, float]]:
         records, self.records = self.records, []
         return records
-
-
-def build_worker_engine(spec: WorkerSpec) -> ScoringEngine:
-    """Build the engine a worker (or an unsharded reference) runs.
-
-    Imported lazily: ``jobs`` sits above ``serve`` in the layer order,
-    so the registry lookup stays function-scoped.
-    """
-    from ..serve.registry import ModelRegistry
-
-    if spec.detector_file is not None:
-        from ..pipeline.adapters import TriADWindowScorer
-
-        scorer = TriADWindowScorer.from_file(spec.detector_file)
-        plan = scorer._detector.plan
-        length, stride = plan.length, plan.stride
-    else:
-        from ..jobs.registry import build_scorer
-
-        if spec.train is None:
-            raise ValueError(
-                f"WorkerSpec(detector={spec.detector!r}) needs a train "
-                f"series to fit on (or use detector_file)"
-            )
-        scorer, length, stride = build_scorer(
-            spec.detector, spec.train, dict(spec.params)
-        )
-    registry = ModelRegistry()
-    registry.register(scorer)
-    config = EngineConfig(
-        window_length=spec.window_length or length,
-        stride=spec.stride or stride,
-        **dict(spec.engine),
-    )
-    engine_cls = RecordingEngine if spec.record_scores else ScoringEngine
-    return engine_cls(registry, config)
 
 
 # ----------------------------------------------------------------------
@@ -233,14 +170,14 @@ def _alert_from_payload(payload: tuple) -> StreamAlert:
     )
 
 
-def _worker_main(conn, spec: WorkerSpec) -> None:
+def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
     """Worker loop: build the engine, serve messages until ``stop``.
 
     After every ``points`` batch the engine is fully drained before
     snapshots are taken, so a snapshot always captures a quiescent
     stream (empty queue) and rehydrating from it is exact.
     """
-    engine = build_worker_engine(spec)
+    engine = make_engine()
     while True:
         try:
             message = conn.recv()
@@ -299,14 +236,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
     conn.close()
 
 
-class WorkerDiedError(RuntimeError):
-    """A shard worker's process died mid-conversation."""
-
-    def __init__(self, worker: str) -> None:
-        super().__init__(f"shard worker {worker!r} died")
-        self.worker = worker
-
-
 # ----------------------------------------------------------------------
 # The router
 # ----------------------------------------------------------------------
@@ -315,31 +244,34 @@ class ShardRouter:
 
     Usage::
 
-        spec = WorkerSpec(detector="batched-spectral-residual",
-                          train=train, record_scores=False)
-        with ShardRouter(spec, workers=4, store=InMemoryStore()) as router:
+        scorer = SpectralResidualWindowScorer(calibration_series=train)
+
+        def make_engine():
+            registry = ModelRegistry()
+            registry.register(scorer)
+            return ScoringEngine(registry, EngineConfig(window_length=64))
+
+        with ShardRouter(make_engine, workers=4, store=InMemoryStore()) as router:
             alerts = router.submit([("stream-7", chunk), ...])
 
+    ``make_engine`` runs in each worker after the fork, so what it
+    closes over is shared by value with the parent, never pickled.
     ``submit`` is one synchronous round: every involved worker scores
     its batch concurrently, and the call returns when all batches are
-    acknowledged.  Worker death during a round is healed transparently
-    (``auto_heal=True``) by respawn + rehydrate + replay; set
-    ``auto_heal=False`` to surface :class:`WorkerDiedError` instead and
-    drive :meth:`heal_worker` yourself (the chaos drills do).
+    acknowledged.  A worker found dead, mid-round or idle since the
+    last one, is healed by respawn + rehydrate + replay.
     """
 
     def __init__(
         self,
-        spec: WorkerSpec,
+        make_engine: Callable[[], ScoringEngine],
         workers: int = 4,
         store: StoreProvider | None = None,
-        auto_heal: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.spec = spec
+        self.make_engine = make_engine
         self.store = store if store is not None else InMemoryStore()
-        self.auto_heal = auto_heal
         self.ring = HashRing()
         self._workers: dict[str, ForkWorker] = {}
         self._inflight: dict[str, OrderedDict] = {}
@@ -355,7 +287,7 @@ class ShardRouter:
 
     # -- lifecycle -------------------------------------------------------
     def _spawn(self, name: str) -> None:
-        self._workers[name] = ForkWorker(_worker_main, self.spec)
+        self._workers[name] = ForkWorker(_worker_main, self.make_engine)
         self._inflight.setdefault(name, OrderedDict())
         self._dead.discard(name)
         obs.gauge("serve.shard.workers", len(self._workers))
@@ -368,8 +300,16 @@ class ShardRouter:
     def known_streams(self) -> list[str]:
         return sorted(self._known)
 
-    def worker_pid(self, name: str) -> int:
-        return self._workers[name].pid
+    def kill_worker(self, name: str) -> int:
+        """``kill -9`` a worker (the chaos drill) and reap it; returns its
+        old pid.  The next round that routes to it heals it."""
+        process = self._workers[name].process
+        os.kill(process.pid, signal.SIGKILL)
+        # SIGKILL is asynchronous; reap so the next submit observes the
+        # death rather than racing it.
+        process.join(timeout=5.0)
+        obs.event("serve.shard.chaos_kill", worker=name, pid=process.pid)
+        return process.pid
 
     def close(self) -> None:
         """Stop every worker (politely, then hard)."""
@@ -393,8 +333,8 @@ class ShardRouter:
         """Route one round of per-stream chunks; return the acked alerts.
 
         ``items`` is an iterable of ``(stream_id, values)``; per-window
-        score triples (when ``spec.record_scores``) land in
-        :attr:`last_records`.
+        score triples (when the workers run a :class:`RecordingEngine`)
+        land in :attr:`last_records`.
         """
         groups: dict[str, list] = {}
         count_points = 0
@@ -428,7 +368,7 @@ class ShardRouter:
 
     def _try_send(self, name: str, message) -> None:
         if name in self._dead:
-            return  # heal() will replay from the in-flight ledger
+            return  # _heal() will replay from the in-flight ledger
         try:
             self._workers[name].send(message)
         except WorkerDied:
@@ -443,9 +383,7 @@ class ShardRouter:
         while batch_id not in self._results:
             if name in self._dead or not self._workers[name].alive():
                 self._mark_dead(name)
-                if not self.auto_heal:
-                    raise WorkerDiedError(name)
-                self.heal_worker(name)
+                self._heal(name)
                 continue
             try:
                 reply = self._workers[name].recv()
@@ -471,7 +409,7 @@ class ShardRouter:
         )
 
     # -- failure recovery ------------------------------------------------
-    def heal_worker(self, name: str) -> None:
+    def _heal(self, name: str) -> None:
         """Respawn a dead worker: drain its last replies, rehydrate its
         streams from the store, replay unacknowledged batches in order."""
         worker = self._workers[name]

@@ -19,7 +19,7 @@ Backends:
 - :class:`FileBackedStore` — one ``.npz`` per stream written
   atomically (tmp + fsync + rename) plus an fsync'd JSONL index
   journal, both through :mod:`repro.runtime.journal` (torn index lines
-  are skipped with a warning).  Survives a supervisor restart, and a
+  are skipped with a warning).  Survives a router restart, and a
   *different process* that opens the same directory picks the fleet's
   state up.
 

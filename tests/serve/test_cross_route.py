@@ -1,11 +1,14 @@
 """One scorer name, one score on every route.
 
-``spectral-residual`` is reachable three ways: the serving degradation
-chain (``build_registry``), the job registry (``build_scorer``) and a
-shard worker's engine (``build_worker_engine``, which builds through the
-job registry).  A stream that changes route must keep its scores and
-its seeded alert baseline bit for bit, and the whole-series baseline
-detector must be one row of the same saliency function.
+``spectral-residual`` is reachable two ways: the serving degradation
+chain (``build_registry``) and the job registry (``build_scorer``).
+Shard workers serve whatever scorer object the parent built and forked,
+so the fabric adds no third construction; its exactness is pinned by
+the shard drills (``tests/serve/test_shard.py``,
+``tests/serve/test_shard_chaos.py``).  A stream that changes route must
+keep its scores and its seeded alert baseline bit for bit, and the
+whole-series baseline detector must be one row of the same saliency
+function.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 from repro.baselines import SpectralResidualDetector
 from repro.baselines.spectral_residual import spectral_residual_saliency
 from repro.jobs.registry import build_scorer
-from repro.serve import WorkerSpec, build_registry, build_worker_engine
+from repro.serve import build_registry
 
 SETTINGS = dict(max_examples=40, deadline=None)
 PARAMS = {"max_window": 64, "seed": 0}
@@ -44,11 +47,7 @@ def routes(train):
     """The ``spectral-residual`` scorer as each route builds it."""
     serve = build_registry(train_series=train).active_entry("spectral-residual").scorer
     job, _, _ = build_scorer("spectral-residual", train, dict(PARAMS))
-    engine = build_worker_engine(
-        WorkerSpec(detector="spectral-residual", params=dict(PARAMS), train=train)
-    )
-    (worker_entry,) = engine.registry.chain_entries()
-    return {"serve": serve, "job": job, "worker": worker_entry.scorer}
+    return {"serve": serve, "job": job}
 
 
 @given(windows=window_batches)
@@ -56,16 +55,14 @@ def routes(train):
 @settings(**SETTINGS)
 def test_every_route_scores_windows_identically(routes, windows):
     want = routes["serve"].score_windows(windows, ())
-    for route in ("job", "worker"):
-        assert np.array_equal(routes[route].score_windows(windows, ()), want), route
+    assert np.array_equal(routes["job"].score_windows(windows, ()), want)
 
 
 @pytest.mark.parametrize("length, stride", [(32, 8), (64, 16)])
 def test_every_route_seeds_the_same_alert_baseline(routes, length, stride):
     want = routes["serve"].calibration_scores(length, stride)
     assert want is not None
-    for route in ("job", "worker"):
-        assert np.array_equal(routes[route].calibration_scores(length, stride), want)
+    assert np.array_equal(routes["job"].calibration_scores(length, stride), want)
 
 
 @given(

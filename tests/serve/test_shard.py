@@ -1,38 +1,49 @@
-"""Tests for the shard fabric: hash ring, worker engines, router
-parity, and migration (repro.serve.shard)."""
+"""Tests for the shard fabric: hash ring, router parity, and
+migration (repro.serve.shard)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serve.shard import (
-    HashRing,
-    RecordingEngine,
-    ShardRouter,
-    WorkerSpec,
-    build_worker_engine,
-)
+from repro.baselines.spectral_residual import SpectralResidualWindowScorer
+from repro.serve import EngineConfig, ModelRegistry, ScoringEngine
+from repro.serve.shard import HashRing, RecordingEngine, ShardRouter
 from repro.serve.stores import InMemoryStore
 
 
 # ----------------------------------------------------------------------
-# Shared scenario: a small spectral-residual spec plus a spiked feed so
-# the runs produce real alerts, not just zero-alert score streams.
+# Shared scenario: a small spectral-residual engine factory plus a
+# spiked feed so the runs produce real alerts, not just zero-alert
+# score streams.
 # ----------------------------------------------------------------------
-def make_spec(record_scores: bool = True) -> WorkerSpec:
+def make_train() -> np.ndarray:
     t = np.arange(800)
     train = np.sin(2 * np.pi * t / 32)
-    train += 0.03 * np.random.default_rng(5).standard_normal(len(t))
-    return WorkerSpec(
-        detector="spectral-residual",
-        params={"max_window": 64, "seed": 0},
-        train=train,
-        window_length=32,
-        stride=8,
-        engine={"max_batch": 16, "score_baseline": 64, "warmup_scores": 8},
-        record_scores=record_scores,
+    return train + 0.03 * np.random.default_rng(5).standard_normal(len(t))
+
+
+def make_factory(
+    scorer=None, window_length: int = 32, stride: int = 8, record: bool = True
+):
+    """A zero-argument engine factory over one scorer built here, once."""
+    if scorer is None:
+        scorer = SpectralResidualWindowScorer(calibration_series=make_train())
+    config = EngineConfig(
+        window_length=window_length,
+        stride=stride,
+        max_batch=16,
+        score_baseline=64,
+        warmup_scores=8,
     )
+    engine_cls = RecordingEngine if record else ScoringEngine
+
+    def make_engine() -> ScoringEngine:
+        registry = ModelRegistry()
+        registry.register(scorer)
+        return engine_cls(registry, config)
+
+    return make_engine
 
 
 def make_feed(streams: int = 6, length: int = 480) -> dict[str, np.ndarray]:
@@ -48,9 +59,9 @@ def make_feed(streams: int = 6, length: int = 480) -> dict[str, np.ndarray]:
     return feed
 
 
-def run_unsharded(spec: WorkerSpec, feed, chunk: int = 64):
+def run_unsharded(make_engine, feed, chunk: int = 64):
     """Reference run: one engine, same chunk cadence as the router."""
-    engine = build_worker_engine(spec)
+    engine = make_engine()
     assert isinstance(engine, RecordingEngine)
     alerts = []
     length = max(len(series) for series in feed.values())
@@ -138,26 +149,12 @@ class TestHashRing:
             HashRing().owner("k")
 
 
-class TestBuildWorkerEngine:
-    def test_needs_train_series_without_detector_file(self):
-        with pytest.raises(ValueError, match="train"):
-            build_worker_engine(WorkerSpec(detector="spectral-residual"))
-
-    def test_builds_recording_engine_on_request(self):
-        plain = build_worker_engine(make_spec(record_scores=False))
-        recording = build_worker_engine(make_spec(record_scores=True))
-        assert not isinstance(plain, RecordingEngine)
-        assert isinstance(recording, RecordingEngine)
-        assert recording.config.window_length == 32
-        assert recording.config.stride == 8
-
-
 class TestShardedParity:
     def test_sharded_run_matches_unsharded_bit_for_bit(self):
-        spec = make_spec()
+        make_engine = make_factory()
         feed = make_feed()
-        want_records, want_alerts = run_unsharded(spec, feed)
-        with ShardRouter(spec, workers=3, store=InMemoryStore()) as router:
+        want_records, want_alerts = run_unsharded(make_engine, feed)
+        with ShardRouter(make_engine, workers=3, store=InMemoryStore()) as router:
             got_records, got_alerts = run_rounds(router, feed)
         assert got_records == want_records
         assert len(want_records) > 0
@@ -165,17 +162,17 @@ class TestShardedParity:
         assert len(want_alerts) > 0
 
     def test_store_holds_every_acked_stream(self):
-        spec = make_spec(record_scores=False)
+        make_engine = make_factory(record=False)
         feed = make_feed(streams=4)
         store = InMemoryStore()
-        with ShardRouter(spec, workers=2, store=store) as router:
+        with ShardRouter(make_engine, workers=2, store=store) as router:
             run_rounds(router, feed)
             assert store.stream_ids() == sorted(feed)
             assert router.known_streams == sorted(feed)
 
     def test_report_covers_every_worker(self):
-        spec = make_spec(record_scores=False)
-        with ShardRouter(spec, workers=2, store=InMemoryStore()) as router:
+        make_engine = make_factory(record=False)
+        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
             run_rounds(router, make_feed(streams=3, length=96))
             report = router.report()
         assert sorted(report["workers"]) == ["w0", "w1"]
@@ -186,22 +183,22 @@ class TestShardedParity:
 
 class TestMigration:
     def test_scale_out_and_in_mid_stream_is_bit_identical(self):
-        spec = make_spec()
+        make_engine = make_factory()
         feed = make_feed()
-        want_records, want_alerts = run_unsharded(spec, feed)
+        want_records, want_alerts = run_unsharded(make_engine, feed)
         hooks = {
             3: lambda r: r.add_worker("w2"),
             5: lambda r: r.remove_worker("w0"),
         }
-        with ShardRouter(spec, workers=2, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
             got_records, got_alerts = run_rounds(router, feed, hooks=hooks)
         assert got_records == want_records
         assert got_alerts == want_alerts
 
     def test_join_migrates_exactly_the_reassigned_streams(self):
-        spec = make_spec(record_scores=False)
+        make_engine = make_factory(record=False)
         feed = make_feed(streams=12, length=96)
-        with ShardRouter(spec, workers=2, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
             run_rounds(router, feed)
             before = {
                 sid: router.ring.owner(sid) for sid in router.known_streams
@@ -213,8 +210,8 @@ class TestMigration:
             assert all(router.ring.owner(sid) == "w2" for sid in moved)
 
     def test_cannot_remove_the_last_worker(self):
-        spec = make_spec(record_scores=False)
-        with ShardRouter(spec, workers=1, store=InMemoryStore()) as router:
+        make_engine = make_factory(record=False)
+        with ShardRouter(make_engine, workers=1, store=InMemoryStore()) as router:
             with pytest.raises(ValueError, match="last worker"):
                 router.remove_worker("w0")
 
@@ -238,29 +235,4 @@ class TestServeShardCLI:
         payload = json.loads(out.read_text())
         assert payload["streams"] == 4 and payload["workers"] == 2
         assert payload["report"]["respawns"] == 1
-        assert payload["report"]["heals"] >= 1
         assert sum(payload["report"]["ring"].values()) == 4
-
-    def test_serve_replay_routes_through_the_fabric(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        out = tmp_path / "fabric.json"
-        code = main([
-            "serve-replay", "--dataset", "4", "--epochs", "0",
-            "--workers", "2", "--streams", "2", "--json", str(out),
-        ])
-        assert code == 0
-        assert "sharded replay" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["workers"] == 2 and payload["points"] == 2 * 2000
-
-    def test_serve_replay_workers_rejects_adapt_and_chaos(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "serve-replay", "--dataset", "4", "--epochs", "0",
-            "--workers", "2", "--adapt",
-        ]) == 2
-        assert "incompatible" in capsys.readouterr().err
