@@ -35,7 +35,7 @@ shard fabric and the replay harness each built on it:
 
     0  stream            (ring buffers, per-stream window state)
     1  stores            (pluggable stream-state store backends)
-    2  registry          (versioned chain)
+    2  registry          (fixed fallback chain)
     3  engine            (micro-batching scorer; state externalization)
     4  shard             (hash ring, worker processes, router)
     5  replay            (labelled replay harness + failover drill)

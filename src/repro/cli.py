@@ -138,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-capacity", type=int, default=512,
                          help="admission-control bound on pending windows")
     p_serve.add_argument("--latency-budget-ms", type=float, default=None,
-                         help="per-batch latency budget: the engine adapts "
-                              "its micro-batch size to it and the primary "
-                              "model degrades when it keeps exceeding it")
+                         help="per-batch latency budget: the engine halves "
+                              "its micro-batch limit when a batch exceeds it "
+                              "(models fail over on errors only)")
     p_serve.add_argument("--sigma", type=float, default=4.0,
                          help="per-stream alert threshold sigma")
     p_serve.add_argument("--fail-primary", type=int, default=None, metavar="N",
@@ -563,7 +563,6 @@ def _cmd_serve_replay(args) -> int:
     from . import TriAD, TriADConfig, obs
     from .core import load_detector
     from .pipeline import default_pipeline
-    from .runtime import RetryPolicy
     from .serve import EngineConfig, ScoringEngine, build_registry, replay_dataset
 
     dataset = _load_dataset(args.dataset)
@@ -593,15 +592,10 @@ def _cmd_serve_replay(args) -> int:
         plan = default_pipeline().plan_for(dataset.train, config)
         print("training-free chain (spectral residual -> streaming discord)")
 
-    budget_s = (
-        args.latency_budget_ms / 1e3 if args.latency_budget_ms is not None else None
-    )
     session = obs.install() if args.metrics_out is not None else None
     try:
         registry = build_registry(
             detector,
-            policy=RetryPolicy(max_retries=0),
-            latency_budget=budget_s,
             fail_primary_after=args.fail_primary,
             train_series=dataset.train,
         )
@@ -612,7 +606,9 @@ def _cmd_serve_replay(args) -> int:
                 stride=plan.stride,
                 max_batch=args.max_batch,
                 queue_capacity=args.queue_capacity,
-                latency_budget_s=budget_s,
+                latency_budget_s=(
+                    None if args.latency_budget_ms is None else args.latency_budget_ms / 1e3
+                ),
                 alert_sigma=args.sigma,
             ),
         )

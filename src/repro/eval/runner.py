@@ -268,14 +268,10 @@ def _attempt_unit(
         )
     last_error: BaseException | None = None
     for attempt in range(policy.attempts()):
-        if attempt:
-            policy.pause(attempt)
         budget = policy.spawn_budget()
         unit.stage = "fit"
         try:
             detector = factory(policy.reseed(seed, attempt))
-            if budget is not None and hasattr(detector, "set_budget"):
-                detector.set_budget(budget)
             result = _run_unit(detector, dataset, seed, unit, budget, mode)
             result.attempts = attempt + 1
             return result

@@ -128,7 +128,6 @@ class ChunkedExecutor:
         last_error: BaseException | None = None
         for attempt in range(self.policy.attempts()):
             if attempt:
-                self.policy.pause(attempt)
                 obs.incr("jobs.chunks.retried")
             try:
                 return score(chunk)

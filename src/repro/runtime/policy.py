@@ -1,17 +1,16 @@
 """Retry and budget policies for archive-scale runs.
 
 A sweep over hundreds of (dataset, seed) units must survive any single
-unit failing: a detector raising, emitting garbage, or spinning without
-progress.  :class:`RetryPolicy` bounds how many times a unit is
+unit failing: a detector raising, emitting garbage, or running past its
+allowance.  :class:`RetryPolicy` bounds how many times a unit is
 re-attempted (with deterministic reseeding so a flaky initialization
-gets a genuinely different draw) and :class:`RunBudget` bounds how much
-work one attempt may consume before it is declared hung.
+gets a genuinely different draw) and :class:`RunBudget` bounds the wall
+time one attempt may take.
 
-Budgets are cooperative: long-running loops call :meth:`RunBudget.tick`
-(or the runner calls :meth:`RunBudget.check_time` between stages) and a
-:class:`BudgetExceededError` is raised once the step or wall allowance
-is spent.  The clock is injectable so tests can exhaust a wall budget
-without sleeping.
+Budgets are cooperative: the runner calls :meth:`RunBudget.check_time`
+between stages and a :class:`BudgetExceededError` is raised once the
+wall allowance is spent.  The clock is injectable so tests can exhaust
+a budget without sleeping.
 """
 
 from __future__ import annotations
@@ -22,31 +21,31 @@ from typing import Callable
 
 __all__ = ["BudgetExceededError", "RunBudget", "RetryPolicy", "CRASH_THROUGH"]
 
+#: Offset added to the seed per retry, so re-attempts draw fresh
+#: randomness while staying deterministic (prime, to avoid colliding
+#: with user seed grids).
+RESEED_STRIDE = 100003
+
 
 class BudgetExceededError(RuntimeError):
-    """A unit of work exhausted its step or wall-clock budget."""
+    """A unit of work exhausted its wall-clock budget."""
 
 
 @dataclass
 class RunBudget:
-    """Cooperative step/wall-clock allowance for one attempt.
+    """Cooperative wall-clock allowance for one attempt.
 
     Parameters
     ----------
-    max_steps:
-        Maximum number of :meth:`tick` increments before the attempt is
-        declared hung.  ``None`` disables step accounting.
     max_seconds:
-        Wall-clock allowance, checked on every :meth:`tick` and
-        :meth:`check_time`.  ``None`` disables the deadline.
+        Wall-clock allowance, checked on every :meth:`check_time`.
+        ``None`` disables the deadline.
     clock:
         Monotonic time source; injectable for deterministic tests.
     """
 
-    max_steps: int | None = None
     max_seconds: float | None = None
     clock: Callable[[], float] = time.monotonic
-    steps: int = field(default=0, init=False)
     _start: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -62,20 +61,9 @@ class RunBudget:
                 f"wall budget exhausted: {self.elapsed():.3f}s > {self.max_seconds}s"
             )
 
-    def tick(self, n: int = 1) -> None:
-        """Consume ``n`` steps; raise once either allowance is spent."""
-        self.steps += n
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise BudgetExceededError(
-                f"step budget exhausted: {self.steps} > {self.max_steps}"
-            )
-        self.check_time()
-
     def spawn(self) -> "RunBudget":
-        """A fresh budget with the same limits (zero steps, new deadline)."""
-        return RunBudget(
-            max_steps=self.max_steps, max_seconds=self.max_seconds, clock=self.clock
-        )
+        """A fresh budget with the same limit (new deadline)."""
+        return RunBudget(max_seconds=self.max_seconds, clock=self.clock)
 
 
 @dataclass
@@ -86,7 +74,7 @@ class RetryPolicy:
     crash-through (any exception aborts the whole sweep) to isolation
     mode: each unit gets ``max_retries + 1`` attempts, and a unit that
     exhausts them is recorded as a :class:`~repro.runtime.failures.FailureReport`
-    instead of killing the sweep.
+    instead of killing the sweep.  Retries run immediately.
 
     Parameters
     ----------
@@ -98,40 +86,21 @@ class RetryPolicy:
         promptly (and can be resumed from its checkpoint).
     budget:
         Template :class:`RunBudget` applied per attempt via :meth:`spawn_budget`.
-    backoff:
-        Optional hook mapping the attempt number (1-based for the first
-        retry) to a pause in seconds — the place to plug exponential
-        backoff.  ``None`` retries immediately.
-    sleep:
-        Sleep function used by :meth:`pause`; injectable for tests.
-    reseed_stride:
-        Offset added per retry so re-attempts draw fresh randomness while
-        remaining fully deterministic (prime, to avoid colliding with
-        user seed grids).
     """
 
     max_retries: int = 1
     retry_on: tuple[type[BaseException], ...] = (Exception,)
     budget: RunBudget | None = None
-    backoff: Callable[[int], float] | None = None
-    sleep: Callable[[float], None] = time.sleep
-    reseed_stride: int = 100003
 
     def attempts(self) -> int:
         """Total attempts a unit receives (at least 1, even if
         ``max_retries`` was passed negative)."""
         return max(self.max_retries, 0) + 1
 
-    def reseed(self, seed: int, attempt: int) -> int:
+    @staticmethod
+    def reseed(seed: int, attempt: int) -> int:
         """Deterministic seed for attempt ``attempt`` (0 = first try)."""
-        return seed if attempt == 0 else seed + attempt * self.reseed_stride
-
-    def pause(self, attempt: int) -> None:
-        """Sleep before retry ``attempt`` if a backoff hook is configured."""
-        if self.backoff is not None:
-            delay = float(self.backoff(attempt))
-            if delay > 0:
-                self.sleep(delay)
+        return seed + attempt * RESEED_STRIDE
 
     def spawn_budget(self) -> RunBudget | None:
         """A fresh per-attempt budget, or ``None`` if unbudgeted."""

@@ -1,10 +1,11 @@
 """Online serving: multi-stream scoring on top of fitted detectors.
 
 The production-facing layer of the reproduction (ROADMAP north star):
-per-stream sliding-window state (:mod:`repro.serve.stream`), a
-versioned model registry with hot-swap and a graceful-degradation chain
+per-stream sliding-window state (:mod:`repro.serve.stream`), a fixed
+fallback chain of scorers behind circuit breakers
 (:mod:`repro.serve.registry`), a micro-batching scoring engine with
-admission control (:mod:`repro.serve.engine`), a labelled-replay
+admission control and the one latency budget, its adaptive batch limit
+(:mod:`repro.serve.engine`), a labelled-replay
 harness with a failover drill (:mod:`repro.serve.replay`, surfaced as
 ``repro serve-replay``), and a sharded multi-worker fabric with pluggable
 stream-state stores (:mod:`repro.serve.stores`,

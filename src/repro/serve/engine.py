@@ -16,8 +16,8 @@ Overload handling is two-layered:
 - **latency budget** — if a batch takes longer than
   ``latency_budget_s`` the micro-batch limit halves (floor 1), and it
   recovers multiplicatively while batches run comfortably under budget.
-  Model-level budgets/failover live in the registry's degradation
-  chain, not here.
+  This is the only response to latency: the registry's fallback chain
+  moves past a model on errors and bad output, never on slowness.
 
 Alerting is per-stream and self-calibrating: each stream keeps a
 bounded ring of its recent scores and alerts when a new score exceeds
@@ -243,19 +243,19 @@ class ScoringEngine:
             scores, entry = self.registry.score(windows, batch)
         elapsed = time.perf_counter() - start
 
-        if self._last_model is not None and entry.key() != self._last_model:
-            # Scores are on a model-specific scale: a failover or
-            # hot-swap invalidates every stream's alert baseline.  Reset
-            # and re-warm rather than alert against the old model's scale.
+        if self._last_model is not None and entry.name != self._last_model:
+            # Scores are on a model-specific scale: a failover
+            # invalidates every stream's alert baseline.  Reset and
+            # re-warm rather than alert against the old model's scale.
             self._baselines.clear()
-            obs.event("serve.baseline_reset", model=entry.key())
-        self._last_model = entry.key()
+            obs.event("serve.baseline_reset", model=entry.name)
+        self._last_model = entry.name
 
         self.latency.observe(elapsed)
         self.stats.batches += 1
         self.stats.windows_scored += take
-        self.stats.models_used.add(entry.key())
-        if entry.name != (self.registry.chain[0] if self.registry.chain else entry.name):
+        self.stats.models_used.add(entry.name)
+        if entry is not self.registry.entries[0]:
             self.stats.fallback_batches += 1
         obs.incr("serve.windows_scored", take)
         obs.gauge("serve.queue_depth", len(self._queue))
@@ -305,19 +305,6 @@ class ScoringEngine:
         if evict:
             self.remove_stream(stream_id)
         return snapshot
-
-    def export_streams(
-        self, stream_ids=None, evict: bool = False
-    ) -> list[StreamSnapshot]:
-        """Export many streams (all known ones by default)."""
-        if stream_ids is None:
-            stream_ids = self.streams
-        snapshots = []
-        for stream_id in stream_ids:
-            snapshot = self.export_stream(stream_id, evict=evict)
-            if snapshot is not None:
-                snapshots.append(snapshot)
-        return snapshots
 
     def import_stream(self, snapshot: StreamSnapshot) -> None:
         """Adopt a stream exported by another engine.
@@ -384,7 +371,7 @@ class ScoringEngine:
                     index=ready.end_index,
                     score=score,
                     threshold=threshold,
-                    model=entry.key(),
+                    model=entry.name,
                 )
         baseline.append(score)
         return alert

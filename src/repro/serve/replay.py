@@ -17,7 +17,6 @@ import numpy as np
 
 from ..baselines.spectral_residual import SpectralResidualWindowScorer
 from ..data.spec import Dataset
-from ..runtime import RetryPolicy
 from .engine import ScoringEngine, StreamAlert
 from .registry import (
     DiscordWindowScorer,
@@ -61,10 +60,7 @@ class FailAfter(WindowScorer):
 
 def build_registry(
     detector=None,
-    policy: RetryPolicy | None = None,
-    latency_budget: float | None = None,
     fail_primary_after: int | None = None,
-    discord_length: int = 16,
     train_series=None,
 ) -> ModelRegistry:
     """The standard degradation chain, optionally headed by a fitted TriAD.
@@ -77,7 +73,7 @@ def build_registry(
     training-free scorers pre-compute calibration score distributions so
     engine alert baselines are seeded instead of cold-started.
     """
-    registry = ModelRegistry(policy=policy)
+    registry = ModelRegistry()
     primary = (
         TriADWindowScorer(detector)
         if detector is not None
@@ -85,14 +81,10 @@ def build_registry(
     )
     if fail_primary_after is not None:
         primary = FailAfter(primary, fail_primary_after)
-    registry.register(primary, latency_budget=latency_budget, max_failures=1)
+    registry.register(primary, max_failures=1)
     if detector is not None:
         registry.register(SpectralResidualWindowScorer(calibration_series=train_series))
-    registry.register(
-        DiscordWindowScorer(
-            subsequence_length=discord_length, calibration_series=train_series
-        )
-    )
+    registry.register(DiscordWindowScorer(calibration_series=train_series))
     return registry
 
 

@@ -186,6 +186,7 @@ def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
         kind = message[0]
         if kind == "points":
             _, batch_id, items = message
+            scored_before = engine.stats.windows_scored
             alerts: list[StreamAlert] = []
             touched: list[str] = []
             seen: set[str] = set()
@@ -211,6 +212,7 @@ def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
                     [_alert_payload(alert) for alert in alerts],
                     snapshots,
                     records,
+                    engine.stats.windows_scored - scored_before,
                 )
             )
         elif kind == "hydrate":
@@ -279,6 +281,9 @@ class ShardRouter:
         self._dead: set[str] = set()
         self._known: set[str] = set()
         self._next_batch = 0
+        # Windows per worker, counted by the router as it acks batches:
+        # a respawned worker's engine starts at zero, this tally does not.
+        self._windows_scored: dict[str, int] = {}
         self.respawns = 0
         self.last_records: list[tuple[str, int, float]] = []
         for i in range(workers):
@@ -396,13 +401,14 @@ class ShardRouter:
         kind = reply[0]
         if kind != "scored":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unexpected reply from {name}: {kind!r}")
-        _, batch_id, alert_payloads, snapshot_payloads, records = reply
+        _, batch_id, alert_payloads, snapshot_payloads, records, scored = reply
         # Persist-then-ack: the store write is what makes the batch
         # durable; only after it succeeds do alerts surface.
         self.store.save_many(
             StreamSnapshot.from_payload(payload) for payload in snapshot_payloads
         )
         self._inflight[name].pop(batch_id, None)
+        self._windows_scored[name] = self._windows_scored.get(name, 0) + scored
         self._results[batch_id] = (
             [_alert_from_payload(payload) for payload in alert_payloads],
             list(records),
@@ -548,7 +554,11 @@ class ShardRouter:
 
     # -- introspection ---------------------------------------------------
     def report(self) -> dict:
-        """JSON-ready fabric report including each worker's engine view."""
+        """JSON-ready fabric report including each worker's engine view.
+
+        ``windows_scored``, per worker and for the fleet, is the router's
+        tally of acked batches, so it survives a respawn.
+        """
         workers = {}
         for name in self.workers:
             worker = self._workers[name]
@@ -559,6 +569,7 @@ class ShardRouter:
                 worker.send(("report",))
                 reply = worker.recv()
                 workers[name] = {"alive": True, **reply[1]}
+                workers[name]["windows_scored"] = self._windows_scored.get(name, 0)
             except WorkerDied:
                 self._mark_dead(name)
                 workers[name] = {"alive": False}
@@ -567,6 +578,7 @@ class ShardRouter:
             "ring": {name: len(ids) for name, ids in
                      self.ring.assignments(self._known).items()},
             "streams": len(self._known),
+            "windows_scored": sum(self._windows_scored.values()),
             "respawns": self.respawns,
             "store": type(self.store).__name__,
         }

@@ -3,11 +3,11 @@
 A production stream is unbounded, so per-stream state must be O(window):
 :class:`RingBuffer` keeps the last ``capacity`` points in a fixed numpy
 array with O(1) append and O(1) incremental mean/std (running sum and
-sum-of-squares, corrected on eviction).  :class:`StreamState` layers the
-window/stride cadence on top: every ``stride`` points past the first
-full window it emits a :class:`ReadyWindow` carrying the raw values plus
-the already-computed moments, so downstream z-normalisation costs one
-vectorised subtract/divide and zero recomputed statistics.
+sum-of-squares, corrected on eviction); the engine's per-stream alert
+baseline is a ring of recent scores and reads its threshold from those
+moments.  :class:`StreamState` layers the window/stride cadence on top:
+every ``stride`` points past the first full window it emits a
+:class:`ReadyWindow` carrying the raw values.
 
 Float drift from the running sums is bounded by refreshing them from
 the buffer contents every ``_REFRESH_EVERY`` appends.
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = ["RingBuffer", "ReadyWindow", "StreamState"]
 
-_EPS = 1e-8
 _REFRESH_EVERY = 8192
 
 
@@ -184,25 +183,16 @@ class ReadyWindow:
 
     ``end_index`` is the number of points the stream had ingested when
     the window closed, so the window covers stream positions
-    ``[end_index - len(window), end_index)``.  ``mean``/``std`` are the
-    ring buffer's O(1) running moments at emission time.
+    ``[end_index - len(window), end_index)``.
     """
 
     stream_id: str
     end_index: int
     window: np.ndarray
-    mean: float
-    std: float
 
     @property
     def start_index(self) -> int:
         return self.end_index - len(self.window)
-
-    def znormed(self) -> np.ndarray:
-        """The window z-normalised with the precomputed moments."""
-        if self.std < _EPS:
-            return np.zeros_like(self.window)
-        return (self.window - self.mean) / self.std
 
 
 class StreamState:
@@ -266,8 +256,6 @@ class StreamState:
             stream_id=self.stream_id,
             end_index=self.count,
             window=self.buffer.view(),
-            mean=self.buffer.mean,
-            std=self.buffer.std,
         )
 
     def snapshot(self) -> dict:

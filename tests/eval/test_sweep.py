@@ -100,7 +100,7 @@ def test_sweep_isolates_failures_under_policy(archive):
         archive,
         seeds=(0,),
         workers=2,
-        policy=RetryPolicy(max_retries=0, sleep=lambda _s: None),
+        policy=RetryPolicy(max_retries=0),
     )
     assert result.coverage == 0.0
     assert len(result.failures) == len(archive)
@@ -163,7 +163,7 @@ def test_nan_scores_fail_at_the_score_stage(archive, workers):
         archive,
         seeds=(0,),
         workers=workers,
-        policy=RetryPolicy(max_retries=0, sleep=lambda _s: None),
+        policy=RetryPolicy(max_retries=0),
     )
     assert result.coverage == 0.0
     assert not result.per_run

@@ -289,7 +289,7 @@ def test_retry_policy_recovers_flaky_chunks(tmp_path, series):
         plan=lambda train, params: (20, 10),
     )
     manager = JobManager(
-        tmp_path / "store", policy=RetryPolicy(max_retries=2, sleep=lambda _s: None)
+        tmp_path / "store", policy=RetryPolicy(max_retries=2)
     )
     record = manager.submit_and_run(
         JobSpec(detector="test-retry", chunk_windows=4), series

@@ -2,9 +2,10 @@
 
 Testing a fault-tolerant sweep needs faults on demand: this module
 wraps any detector factory so that chosen (dataset, seed, stage) units
-raise, hang (by spinning against their step budget), emit NaN/Inf
-scores, or return wrong-shaped output — on a fixed schedule, so every
-degradation path in the runner is provable by an ordinary unit test.
+raise, hang (by advancing the fake clock their wall budget reads), emit
+NaN/Inf scores, or return wrong-shaped output — on a fixed schedule, so
+every degradation path in the runner is provable by an ordinary unit
+test.
 
 The wrapper identifies datasets by a content fingerprint of their
 training split (the runner only hands detectors raw arrays), so plans
@@ -20,9 +21,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.runtime import BudgetExceededError, RunBudget
+from repro.runtime import BudgetExceededError
 
 __all__ = [
+    "FakeClock",
     "InjectedFault",
     "Fault",
     "FaultPlan",
@@ -34,6 +36,28 @@ __all__ = [
 ]
 
 FAULT_MODES = ("raise", "nan", "hang", "shape")
+
+#: How far a ``hang`` fault moves the clock: longer than any budget a
+#: test sets, and finite so a later attempt's budget still measures.
+HANG_SECONDS = 1e9
+
+
+class FakeClock:
+    """A monotonic clock that moves only when advanced.
+
+    Give the same instance to ``RunBudget(max_seconds=..., clock=...)``
+    and to :class:`FaultPlan`: a ``hang`` fault then spends the budget
+    without sleeping, and the runner's own ``check_time()`` catches it.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 class InjectedFault(RuntimeError):
@@ -61,8 +85,9 @@ class Fault:
     mode:
         ``"raise"``  — raise :class:`InjectedFault`;
         ``"nan"``    — return all-NaN output (``fit``: raises instead);
-        ``"hang"``   — spin against the attempt's :class:`RunBudget`
-        until the step/wall allowance is exhausted;
+        ``"hang"``   — advance the plan's :class:`FakeClock` by
+        :data:`HANG_SECONDS`, then carry on, so the caller's wall
+        budget is spent when it next checks;
         ``"shape"``  — return output of the wrong length (``fit``:
         raises instead).
     seed:
@@ -98,10 +123,15 @@ class FaultPlan:
     not keyed by seed, because retries re-attempt a unit under a
     *reseeded* detector and a transient fault must stay spent across
     that reseed.
+
+    ``clock`` is the :class:`FakeClock` a ``hang`` fault advances.
     """
 
-    def __init__(self, faults: Iterable[Fault] = ()) -> None:
+    def __init__(
+        self, faults: Iterable[Fault] = (), clock: FakeClock | None = None
+    ) -> None:
         self.faults = list(faults)
+        self.clock = clock
         self._fired: Counter = Counter()
 
     def draw(self, dataset: str, seed: int, stage: str) -> Fault | None:
@@ -142,12 +172,6 @@ class ChaosDetector:
         self._seed = seed
         self._resolve_name = resolve_name
         self._dataset = "<unfit>"
-        self._budget: RunBudget | None = None
-
-    def set_budget(self, budget: RunBudget) -> None:
-        self._budget = budget
-        if hasattr(self._inner, "set_budget"):
-            self._inner.set_budget(budget)
 
     def fit(self, train_series: np.ndarray) -> "ChaosDetector":
         self._dataset = self._resolve_name(train_series)
@@ -162,14 +186,14 @@ class ChaosDetector:
         if fault is not None and fault.mode in ("raise", "hang"):
             self._trip(fault)
         out = np.asarray(self._inner.predict(test_series))
-        return out if fault is None else self._corrupt(out, fault)
+        return self._corrupt(out, fault)
 
     def score_series(self, test_series: np.ndarray) -> np.ndarray:
         fault = self._plan.draw(self._dataset, self._seed, "score")
         if fault is not None and fault.mode in ("raise", "hang"):
             self._trip(fault)
         out = np.asarray(self._inner.score_series(test_series))
-        return out if fault is None else self._corrupt(out, fault)
+        return self._corrupt(out, fault)
 
     def detect(self, test_series: np.ndarray):
         return self._inner.detect(test_series)
@@ -177,18 +201,20 @@ class ChaosDetector:
     def _trip(self, fault: Fault) -> None:
         """Fire a fault that cannot be expressed as corrupted output."""
         if fault.mode == "hang":
-            if self._budget is None:
+            if self._plan.clock is None:
                 raise BudgetExceededError(
-                    f"injected hang on {self._dataset} with no budget attached"
+                    f"injected hang on {self._dataset} with no clock attached"
                 )
-            while True:  # spins until the budget raises
-                self._budget.tick()
+            self._plan.clock.advance(HANG_SECONDS)
+            return
         raise InjectedFault(
             f"injected {fault.mode} fault on {self._dataset} "
             f"(seed {self._seed}, stage {fault.stage})"
         )
 
-    def _corrupt(self, out: np.ndarray, fault: Fault) -> np.ndarray:
+    def _corrupt(self, out: np.ndarray, fault: Fault | None) -> np.ndarray:
+        if fault is None or fault.mode == "hang":
+            return out
         if fault.mode == "nan":
             return np.full(out.shape, np.nan)
         if fault.mode == "shape":

@@ -11,7 +11,9 @@ from repro.data import make_archive
 from repro.runtime import BudgetExceededError, RunBudget
 
 from .chaos import (
+    HANG_SECONDS,
     ChaosDetector,
+    FakeClock,
     Fault,
     FaultPlan,
     InjectedFault,
@@ -119,20 +121,36 @@ class TestChaosDetector:
         detector = self._wrap(archive, plan).fit(dataset.train)
         assert len(detector.predict(dataset.test)) < len(dataset.test)
 
-    def test_hang_exhausts_step_budget(self, archive):
+    def test_hang_advances_the_budget_clock(self, archive):
         dataset = archive[0]
-        plan = FaultPlan([Fault(dataset=dataset.name, stage="fit", mode="hang")])
-        detector = self._wrap(archive, plan)
-        budget = RunBudget(max_steps=50)
-        detector.set_budget(budget)
-        with pytest.raises(BudgetExceededError):
-            detector.fit(dataset.train)
-        assert budget.steps == 51
+        clock = FakeClock()
+        plan = FaultPlan(
+            [Fault(dataset=dataset.name, stage="fit", mode="hang")], clock=clock
+        )
+        budget = RunBudget(max_seconds=60.0, clock=clock)
+        detector = self._wrap(archive, plan).fit(dataset.train)
+        assert clock.now >= HANG_SECONDS
+        with pytest.raises(BudgetExceededError, match="wall budget"):
+            budget.check_time()
+        # The hung call still returns; the detector is usable afterwards.
+        assert len(detector.predict(dataset.test)) == len(dataset.test)
+
+    @pytest.mark.parametrize("stage", ["predict", "score"])
+    def test_hang_at_inference_returns_clean_output(self, archive, stage):
+        dataset = archive[0]
+        clock = FakeClock()
+        plan = FaultPlan([Fault(dataset=dataset.name, stage=stage, mode="hang")], clock=clock)
+        detector = self._wrap(archive, plan).fit(dataset.train)
+        clean = OneLinerDetector().fit(dataset.train)
+        method = "predict" if stage == "predict" else "score_series"
+        out = getattr(detector, method)(dataset.test)
+        assert np.array_equal(out, getattr(clean, method)(dataset.test))
+        assert clock.now >= HANG_SECONDS
 
     def test_hang_without_budget_still_fails(self, archive):
         dataset = archive[0]
         plan = FaultPlan([Fault(dataset=dataset.name, stage="fit", mode="hang")])
-        with pytest.raises(BudgetExceededError, match="no budget"):
+        with pytest.raises(BudgetExceededError, match="no clock"):
             self._wrap(archive, plan).fit(dataset.train)
 
     def test_transient_fault_clears_after_count(self, archive):

@@ -16,14 +16,6 @@ class FakeClock:
 
 
 class TestRunBudget:
-    def test_step_budget_exhausts(self):
-        budget = RunBudget(max_steps=3)
-        budget.tick()
-        budget.tick()
-        budget.tick()
-        with pytest.raises(BudgetExceededError, match="step budget"):
-            budget.tick()
-
     def test_wall_budget_exhausts(self):
         clock = FakeClock()
         budget = RunBudget(max_seconds=10.0, clock=clock)
@@ -33,33 +25,24 @@ class TestRunBudget:
         with pytest.raises(BudgetExceededError, match="wall budget"):
             budget.check_time()
 
-    def test_tick_checks_wall_too(self):
-        clock = FakeClock()
-        budget = RunBudget(max_seconds=1.0, clock=clock)
-        clock.now = 2.0
-        with pytest.raises(BudgetExceededError):
-            budget.tick()
-
     def test_unlimited_budget_never_raises(self):
-        budget = RunBudget()
-        for _ in range(1000):
-            budget.tick()
+        clock = FakeClock()
+        budget = RunBudget(clock=clock)
+        clock.now = 1e12
         budget.check_time()
 
-    def test_spawn_resets_steps_and_deadline(self):
+    def test_spawn_resets_deadline(self):
         clock = FakeClock()
-        budget = RunBudget(max_steps=2, max_seconds=5.0, clock=clock)
-        budget.tick()
-        budget.tick()
+        budget = RunBudget(max_seconds=5.0, clock=clock)
         clock.now = 4.0
         fresh = budget.spawn()
-        assert fresh.steps == 0
         clock.now = 8.0  # 4s after the spawn, within its own 5s allowance
         fresh.check_time()
-        fresh.tick()
-        fresh.tick()
         with pytest.raises(BudgetExceededError):
-            fresh.tick()
+            budget.check_time()
+        clock.now = 9.5
+        with pytest.raises(BudgetExceededError):
+            fresh.check_time()
 
 
 class TestRetryPolicy:
@@ -80,25 +63,16 @@ class TestRetryPolicy:
         assert len(seeds) == 4
         assert policy.reseed(7, 2) == policy.reseed(7, 2)
 
-    def test_backoff_hook_drives_sleep(self):
-        slept: list[float] = []
-        policy = RetryPolicy(
-            backoff=lambda attempt: 0.1 * 2**attempt, sleep=slept.append
-        )
-        policy.pause(1)
-        policy.pause(2)
-        assert slept == [pytest.approx(0.2), pytest.approx(0.4)]
-
-    def test_no_backoff_no_sleep(self):
-        policy = RetryPolicy(sleep=lambda _s: pytest.fail("slept without backoff"))
-        policy.pause(1)
-
     def test_spawn_budget_is_fresh_per_attempt(self):
-        policy = RetryPolicy(budget=RunBudget(max_steps=1))
+        clock = FakeClock()
+        policy = RetryPolicy(budget=RunBudget(max_seconds=1.0, clock=clock))
         first = policy.spawn_budget()
-        first.tick()
+        clock.now = 2.0
+        with pytest.raises(BudgetExceededError):
+            first.check_time()
         second = policy.spawn_budget()
-        assert second.steps == 0
+        assert second is not first
+        second.check_time()
 
     def test_spawn_budget_none_when_unbudgeted(self):
         assert RetryPolicy().spawn_budget() is None

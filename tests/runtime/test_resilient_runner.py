@@ -22,7 +22,7 @@ from repro.eval import (
 )
 from repro.runtime import RetryPolicy, RunBudget
 
-from .chaos import Fault, FaultPlan, InjectedFault, chaos_factory
+from .chaos import FakeClock, Fault, FaultPlan, InjectedFault, chaos_factory
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +130,13 @@ class TestFaultIsolation:
 
     def test_hang_fault_dies_by_step_budget(self, archive):
         faulty = archive[0].name
-        plan = FaultPlan([Fault(dataset=faulty, stage="fit", mode="hang", count=None)])
-        policy = RetryPolicy(max_retries=0, budget=RunBudget(max_steps=100))
+        clock = FakeClock()
+        plan = FaultPlan(
+            [Fault(dataset=faulty, stage="fit", mode="hang", count=None)], clock=clock
+        )
+        policy = RetryPolicy(
+            max_retries=1, budget=RunBudget(max_seconds=60.0, clock=clock)
+        )
         agg = run_on_archive(
             "one-liner",
             chaos_factory(one_liner_factory, plan, archive),
@@ -141,6 +146,9 @@ class TestFaultIsolation:
         assert len(agg.failures) == 1
         assert agg.failures[0].stage == "fit"
         assert agg.failures[0].error_type == "BudgetExceededError"
+        assert "wall budget" in agg.failures[0].message
+        assert agg.failures[0].attempts == 2
+        assert agg.coverage == pytest.approx((len(archive) - 1) / len(archive))
 
     def test_without_policy_faults_crash_through(self, archive):
         plan = FaultPlan(

@@ -45,7 +45,7 @@ def train():
 @pytest.fixture(scope="module")
 def routes(train):
     """The ``spectral-residual`` scorer as each route builds it."""
-    serve = build_registry(train_series=train).active_entry("spectral-residual").scorer
+    serve = build_registry(train_series=train).entries[0].scorer
     job, _, _ = build_scorer("spectral-residual", train, dict(PARAMS))
     return {"serve": serve, "job": job}
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve.engine import EngineConfig, ScoringEngine
 from repro.serve.registry import ModelRegistry, WindowScorer
+from repro.serve.replay import FailAfter
 
 
 class RecordingScorer(WindowScorer):
@@ -160,7 +161,7 @@ class TestFailover:
 
         assert entry.tripped
         assert engine.stats.fallback_batches > 0
-        assert {"primary@v1", "fallback@v1"} <= engine.stats.models_used
+        assert {"primary", "fallback"} <= engine.stats.models_used
         # The +100 scale jump must not alert: baselines reset on failover.
         assert alerts == []
         # Both streams kept producing scored windows after the switch.
@@ -208,7 +209,7 @@ class TestReport:
         assert report["streams"] == 1
         assert report["windows_scored"] > 0
         assert report["latency_ms"]["p50"] >= 0.0
-        assert report["chain"][0]["model"] == "recorder@v1"
+        assert report["chain"][0]["model"] == "recorder"
 
 
 class ScaledScorer(WindowScorer):
@@ -226,23 +227,24 @@ class ScaledScorer(WindowScorer):
         return self._calibration
 
 
-class TestPromotionCalibration:
-    """Satellite: promote() mid-batch must not leak old calibration.
+class TestFailoverCalibration:
+    """A failover must not judge windows against the old model's scale.
 
-    v1 scores on a ~0.3 scale, v2 on a x100 scale.  Windows queued
-    before the hot-swap are scored by v2 after it — judging them
-    against a baseline banked on v1's scale would alert on all of
-    them (or, after a rollback, never alert again).  The flush that
-    first sees the new model key re-seeds every baseline before it
-    judges a window; no caller has to reset them.
+    The primary scores on a ~0.3 scale and fails after its healthy
+    calls; the fallback scores on a x100 scale.  Windows queued before
+    the switch are scored by the fallback after it, so judging them
+    against a baseline banked on the primary's scale would alert on all
+    of them.  The flush that first sees the fallback re-seeds every
+    baseline from the fallback's calibration before it judges a window.
     """
 
-    def make(self, rng):
+    def make(self, rng, healthy_calls):
         calibration = rng.normal(size=256) * 0.05 + 0.35
-        v1 = ScaledScorer("m", 1.0, calibration)
-        v2 = ScaledScorer("m", 100.0, calibration * 100.0)
+        primary = FailAfter(ScaledScorer("primary", 1.0, calibration), healthy_calls)
+        fallback = ScaledScorer("fallback", 100.0, calibration * 100.0)
         registry = ModelRegistry()
-        registry.register(v1)
+        registry.register(primary, max_failures=1)
+        registry.register(fallback)
         engine = ScoringEngine(
             registry,
             EngineConfig(
@@ -253,55 +255,33 @@ class TestPromotionCalibration:
                 alert_sigma=6.0,
             ),
         )
-        return engine, registry, v2
+        return engine, primary
 
-    def test_mid_batch_promotion_judges_queued_windows_on_new_scale(self, rng):
-        engine, registry, v2 = self.make(rng)
-        quiet = rng.normal(size=200) * 0.1
+    def test_windows_queued_across_the_switch_do_not_alert(self, rng):
+        engine, primary = self.make(rng, healthy_calls=5)
         alerts = []
-        for value in quiet:
+        for value in rng.normal(size=200) * 0.1:
+            alerts.extend(engine.ingest("s", float(value)))
+        alerts.extend(engine.drain())
+        assert primary.calls > primary.healthy_calls, "the primary never failed"
+        assert engine.stats.fallback_batches > 0
+        assert alerts == [], "the primary's calibration leaked onto the fallback's scale"
+
+    def test_spike_after_failover_alerts_on_fallback_scale(self, rng):
+        engine, _ = self.make(rng, healthy_calls=5)
+        alerts = []
+        for value in rng.normal(size=200) * 0.1:
             alerts.extend(engine.ingest("s", float(value)))
         alerts.extend(engine.drain())
         assert alerts == []
 
-        # Queue a few windows, then hot-swap before they are scored.
-        for value in rng.normal(size=12) * 0.1:
-            alerts.extend(engine.ingest("s", float(value)))
-        assert engine.queue_depth > 0
-        entry = registry.register(v2, name="m")
-        registry.promote("m", entry.version)
-        alerts.extend(engine.drain())
-        assert alerts == [], "old calibration leaked into the new model's scale"
-
-        # The re-seeded baseline still catches real anomalies, at v2 scale.
         spike_alerts = []
         for value in np.full(20, 5.0):
             spike_alerts.extend(engine.ingest("s", float(value)))
         spike_alerts.extend(engine.drain())
         assert spike_alerts
-        assert all(a.model == "m@v2" for a in spike_alerts)
+        assert all(a.model == "fallback" for a in spike_alerts)
         assert all(a.threshold > 10.0 for a in spike_alerts)
-
-    def test_rollback_re_seeds_v1_scale(self, rng):
-        engine, registry, v2 = self.make(rng)
-        entry = registry.register(v2, name="m")
-        registry.promote("m", entry.version)
-        quiet = rng.normal(size=200) * 0.1
-        alerts = []
-        for value in quiet:
-            alerts.extend(engine.ingest("s", float(value)))
-        alerts.extend(engine.drain())
-        assert alerts == []
-
-        # Roll back to v1 mid-stream: baselines banked at x100 would
-        # swallow every v1-scale anomaly without a reset.
-        registry.promote("m", 1)
-        spike_alerts = []
-        for value in np.full(24, 5.0):
-            spike_alerts.extend(engine.ingest("s", float(value)))
-        spike_alerts.extend(engine.drain())
-        assert spike_alerts
-        assert all(a.model == "m@v1" for a in spike_alerts)
 
 
 class TestEngineConfigValidation:
@@ -378,8 +358,8 @@ class TestStreamExternalization:
         source.drain()
         uninterrupted.drain()
 
-        for snapshot in source.export_streams(evict=True):
-            resumed.import_stream(snapshot)
+        for stream in source.streams:
+            resumed.import_stream(source.export_stream(stream, evict=True))
         assert source.streams == []
 
         continued, reference = [], []

@@ -1,4 +1,4 @@
-"""Tests for the versioned registry and its degradation chain."""
+"""Tests for the registry's fixed fallback chain."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SpectralResidualWindowScorer
-from repro.runtime import RetryPolicy
+from repro.serve.engine import EngineConfig, ScoringEngine
 from repro.serve.registry import (
     DegradationExhaustedError,
     DiscordWindowScorer,
@@ -38,80 +38,26 @@ class ConstantScorer(WindowScorer):
         return scores
 
 
-class FakeClock:
-    """Monotonic clock advancing a fixed amount per read."""
-
-    def __init__(self, step: float):
-        self.step = step
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
-
-
 def windows_batch(n=4, length=32):
     return np.zeros((n, length)), []
 
 
 class TestRegistration:
-    def test_first_version_is_active(self):
+    def test_register_appends_to_the_chain(self):
         registry = ModelRegistry()
-        entry = registry.register(ConstantScorer("m"))
-        assert entry.key() == "m@v1"
-        assert registry.active_entry("m") is entry
+        first = registry.register(ConstantScorer("m"))
+        second = registry.register(ConstantScorer("backup"))
+        assert first.name == "m"
+        assert registry.entries == [first, second]
+        assert registry.chain == ["m", "backup"]
+        assert [status["model"] for status in registry.describe()] == ["m", "backup"]
+
+    def test_duplicate_name_rejected(self):
+        registry = ModelRegistry()
+        registry.register(ConstantScorer("m"))
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register(ConstantScorer("m", value=2.0))
         assert registry.chain == ["m"]
-
-    def test_later_versions_wait_for_promote(self):
-        registry = ModelRegistry()
-        registry.register(ConstantScorer("m", value=1.0))
-        v2 = registry.register(ConstantScorer("m", value=2.0))
-        assert v2.version == 2
-        assert registry.active_entry("m").version == 1
-        assert registry.versions("m") == [1, 2]
-
-        windows, batch = windows_batch()
-        scores, used = registry.score(windows, batch)
-        assert used.version == 1
-        assert np.all(scores == 1.0)
-
-    def test_promote_hot_swaps_on_next_batch(self):
-        registry = ModelRegistry()
-        registry.register(ConstantScorer("m", value=1.0))
-        registry.register(ConstantScorer("m", value=2.0))
-        registry.promote("m", 2)
-        windows, batch = windows_batch()
-        scores, used = registry.score(windows, batch)
-        assert used.key() == "m@v2"
-        assert np.all(scores == 2.0)
-
-    def test_promote_clears_breaker(self):
-        registry = ModelRegistry()
-        entry = registry.register(ConstantScorer("m", fail=True), max_failures=1)
-        registry.register(ConstantScorer("backup", value=9.0))
-        windows, batch = windows_batch()
-        registry.score(windows, batch)
-        assert entry.tripped
-        registry.register(ConstantScorer("m", value=5.0))
-        registry.promote("m", 2)
-        scores, used = registry.score(windows, batch)
-        assert used.key() == "m@v2"
-        assert np.all(scores == 5.0)
-
-    def test_duplicate_version_rejected(self):
-        registry = ModelRegistry()
-        registry.register(ConstantScorer("m"), version=3)
-        with pytest.raises(ValueError):
-            registry.register(ConstantScorer("m"), version=3)
-
-    def test_unknown_lookups_raise(self):
-        registry = ModelRegistry()
-        with pytest.raises(KeyError):
-            registry.active_entry("ghost")
-        with pytest.raises(KeyError):
-            registry.promote("ghost", 1)
-        with pytest.raises(KeyError):
-            registry.set_chain(["ghost"])
 
 
 class TestDegradation:
@@ -134,7 +80,28 @@ class TestDegradation:
         registry.score(windows, batch)
         assert primary.scorer.calls == calls_before
 
-    def test_reset_rearms_a_tripped_entry(self):
+    def test_one_try_per_entry_per_batch(self):
+        registry = ModelRegistry()
+        scorer = ConstantScorer("flaky", fail=True)
+        registry.register(scorer, max_failures=10)
+        registry.register(ConstantScorer("backup"))
+        windows, batch = windows_batch()
+        registry.score(windows, batch)
+        assert scorer.calls == 1
+
+    def test_success_clears_the_failure_streak(self):
+        registry = ModelRegistry()
+        scorer = ConstantScorer("m", fail=True)
+        entry = registry.register(scorer, max_failures=2)
+        registry.register(ConstantScorer("backup"))
+        windows, batch = windows_batch()
+        registry.score(windows, batch)
+        assert entry.failures == 1
+        scorer.fail = False
+        _, used = registry.score(windows, batch)
+        assert used is entry and entry.failures == 0
+
+    def test_tripped_entry_stays_tripped(self):
         registry = ModelRegistry()
         scorer = ConstantScorer("m", fail=True)
         entry = registry.register(scorer, max_failures=1)
@@ -143,28 +110,20 @@ class TestDegradation:
         registry.score(windows, batch)
         assert entry.tripped
         scorer.fail = False
-        registry.reset("m")
-        _, used = registry.score(windows, batch)
-        assert used.name == "m"
+        for _ in range(3):
+            _, used = registry.score(windows, batch)
+            assert used.name == "backup"
+        assert scorer.calls == 1
 
     def test_exhausted_chain_raises(self):
         registry = ModelRegistry()
         registry.register(ConstantScorer("a", fail=True), max_failures=1)
         registry.register(ConstantScorer("b", fail=True), max_failures=1)
         windows, batch = windows_batch()
-        with pytest.raises(DegradationExhaustedError):
+        with pytest.raises(DegradationExhaustedError, match=r"a \[tripped\], b \[tripped\]"):
             registry.score(windows, batch)
         with pytest.raises(DegradationExhaustedError):
             ModelRegistry().score(windows, batch)
-
-    def test_retry_policy_grants_extra_attempts(self):
-        registry = ModelRegistry(policy=RetryPolicy(max_retries=2))
-        scorer = ConstantScorer("flaky", fail=True)
-        registry.register(scorer, max_failures=10)
-        registry.register(ConstantScorer("backup"))
-        windows, batch = windows_batch()
-        registry.score(windows, batch)
-        assert scorer.calls == 3  # 1 try + 2 retries before degrading
 
     def test_bad_shape_and_nan_count_as_failures(self):
         registry = ModelRegistry()
@@ -182,47 +141,22 @@ class TestDegradation:
 
 
 class TestLatencyBudget:
-    def test_overrun_is_late_not_wrong(self):
-        # Each clock read advances 10s; any 5s budget is always blown.
-        clock = FakeClock(step=10.0)
-        registry = ModelRegistry(clock=clock)
-        entry = registry.register(
-            ConstantScorer("slow", value=3.0), latency_budget=5.0, max_failures=3
+    def test_overrun_is_late_not_wrong(self, rng):
+        """A budget every batch overruns shrinks the engine's batch limit
+        and never counts against the scorer's breaker."""
+        registry = ModelRegistry()
+        primary = registry.register(ConstantScorer("slow", value=3.0), max_failures=1)
+        registry.register(ConstantScorer("backup", value=9.0))
+        engine = ScoringEngine(
+            registry,
+            EngineConfig(window_length=16, stride=4, max_batch=8, latency_budget_s=1e-12),
         )
-        windows, batch = windows_batch()
-        scores, used = registry.score(windows, batch)
-        # Scores come back even though the budget was blown...
-        assert used.name == "slow"
-        assert np.all(scores == 3.0)
-        # ...but the breaker advanced.
-        assert entry.failures == 1
-
-    def test_consecutive_overruns_trip(self):
-        clock = FakeClock(step=10.0)
-        registry = ModelRegistry(clock=clock)
-        entry = registry.register(
-            ConstantScorer("slow"), latency_budget=5.0, max_failures=2
-        )
-        registry.register(ConstantScorer("fast", value=8.0))
-        windows, batch = windows_batch()
-        registry.score(windows, batch)
-        registry.score(windows, batch)
-        assert entry.tripped
-        _, used = registry.score(windows, batch)
-        assert used.name == "fast"
-
-    def test_within_budget_resets_streak(self):
-        clock = FakeClock(step=10.0)
-        registry = ModelRegistry(clock=clock)
-        entry = registry.register(
-            ConstantScorer("slow"), latency_budget=5.0, max_failures=3
-        )
-        windows, batch = windows_batch()
-        registry.score(windows, batch)
-        assert entry.failures == 1
-        entry.latency_budget = 1e9  # generous budget: next call is on time
-        registry.score(windows, batch)
-        assert entry.failures == 0
+        engine.ingest_many("s", rng.normal(size=400))
+        engine.drain()
+        assert engine.batch_limit == 1
+        assert engine.stats.batches > 1
+        assert engine.stats.models_used == {"slow"}
+        assert primary.failures == 0 and not primary.tripped
 
 
 class TestBuiltinScorers:
@@ -251,32 +185,3 @@ class TestBuiltinScorers:
         # Block maxima over the raw distance stream.
         raw = scorer._calibration_distances
         assert calibration.max() == pytest.approx(raw[: len(calibration) * 25].max())
-
-
-class TestChainReset:
-    def test_reset_chain_rearms_every_tripped_entry(self):
-        registry = ModelRegistry()
-        first = ConstantScorer("first", fail=True)
-        second = ConstantScorer("second", fail=True)
-        registry.register(first, max_failures=1)
-        registry.register(second, max_failures=1)
-        registry.register(ConstantScorer("last", value=3.0))
-        windows, batch = windows_batch()
-        _, used = registry.score(windows, batch)
-        assert used.name == "last"
-        assert all(entry["tripped"] for entry in registry.describe()[:2])
-
-        first.fail = second.fail = False
-        registry.reset_chain()
-        assert not any(entry["tripped"] for entry in registry.describe())
-        _, used = registry.score(windows, batch)
-        assert used.name == "first"
-
-    def test_active_version_tracks_promotion(self):
-        registry = ModelRegistry()
-        registry.register(ConstantScorer("m", value=1.0))
-        assert registry.active_version("m") == 1
-        entry = registry.register(ConstantScorer("m", value=2.0), name="m")
-        assert registry.active_version("m") == 1  # not yet promoted
-        registry.promote("m", entry.version)
-        assert registry.active_version("m") == 2

@@ -10,12 +10,20 @@ import pytest
 from repro.baselines import SpectralResidualWindowScorer
 from repro.data import make_archive
 from repro.serve import (
+    DiscordWindowScorer,
     EngineConfig,
     FailAfter,
+    ModelRegistry,
     ScoringEngine,
     build_registry,
     replay_dataset,
 )
+
+
+class BackupSpectralResidual(SpectralResidualWindowScorer):
+    """Spectral residual under a second name, so it can follow itself."""
+
+    name = "spectral-residual-backup"
 
 
 @pytest.fixture(scope="module")
@@ -71,20 +79,16 @@ class TestFailoverDrill:
         from repro.signal.windows import plan_windows
 
         plan = plan_windows(unit.train, max_length=256)
-        registry = build_registry(
-            train_series=unit.train,
-            fail_primary_after=2,
-        )
         # Mirror the trained chain shape (primary -> healthy SR -> discord)
         # without paying for a TriAD fit: the fallback that takes over must
         # be one that separates this unit's anomaly.
+        registry = ModelRegistry()
         registry.register(
-            SpectralResidualWindowScorer(calibration_series=unit.train),
-            name="spectral-residual-backup",
+            FailAfter(SpectralResidualWindowScorer(calibration_series=unit.train), 2),
+            max_failures=1,
         )
-        registry.set_chain(
-            ["spectral-residual", "spectral-residual-backup", "streaming-discord"]
-        )
+        registry.register(BackupSpectralResidual(calibration_series=unit.train))
+        registry.register(DiscordWindowScorer(calibration_series=unit.train))
         engine = ScoringEngine(
             registry,
             EngineConfig(window_length=plan.length, stride=plan.stride, max_batch=16),
@@ -135,7 +139,7 @@ class TestTriADReplay:
             ),
         )
         report = replay_dataset(unit, engine, streams=2)
-        assert report.engine_report["models_used"] == ["triad-encoder@v1"]
+        assert report.engine_report["models_used"] == ["triad-encoder"]
         assert report.detected
 
 
@@ -162,3 +166,27 @@ class TestServeReplayCLI:
         assert metrics.exists() and metrics.stat().st_size > 0
         stdout = capsys.readouterr().out
         assert "DETECTED" in stdout
+
+    def test_latency_budget_never_demotes_the_primary(self, tmp_path):
+        """A budget every batch overruns shrinks the engine's batch limit;
+        it must not trip the primary off the chain."""
+        from repro.cli import main
+
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "serve-replay",
+                "--dataset", "4",
+                "--epochs", "0",
+                "--streams", "4",
+                "--latency-budget-ms", "0.05",
+                "--json", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        engine = report["engine"]
+        assert not engine["chain"][0]["tripped"]
+        assert engine["models_used"] == ["spectral-residual"]
+        assert engine["batch_limit"] < 64
+        assert report["detected"] is True

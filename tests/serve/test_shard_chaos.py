@@ -88,3 +88,26 @@ def test_triad_through_the_fabric_is_bit_identical():
         assert router.respawns == 1
     assert got_records == want_records and len(want_records) > 0
     assert got_alerts == want_alerts and len(want_alerts) > 0
+
+
+def test_window_counts_survive_a_respawn():
+    """The router tallies each acked batch's windows, so a respawned
+    worker's fresh engine does not reset its count."""
+    make_engine = make_factory()
+    feed = make_feed(streams=4)
+
+    def report(hooks):
+        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
+            run_rounds(router, feed, hooks=hooks)
+            assert router.respawns == len(hooks)
+            return router.report()
+
+    clean = report({})
+    killed = report({3: lambda router: router.kill_worker("w0")})
+    per_worker = {
+        name: worker["windows_scored"] for name, worker in killed["workers"].items()
+    }
+    assert per_worker == {
+        name: worker["windows_scored"] for name, worker in clean["workers"].items()
+    }
+    assert sum(per_worker.values()) == killed["windows_scored"] == clean["windows_scored"] > 0
