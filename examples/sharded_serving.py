@@ -4,15 +4,13 @@ One :class:`repro.serve.ScoringEngine` is bounded by a single core and
 a single address space.  This example drives the shard fabric
 (``docs/SHARDING.md``) end to end:
 
-1. partition a fleet of streams across worker processes by consistent
-   hash (:class:`repro.serve.ShardRouter`), with per-stream state
-   externalized through a file-backed store;
+1. partition a fleet of streams across a fixed set of worker
+   processes by hash (:class:`repro.serve.ShardRouter`); the router
+   keeps each stream's last acknowledged snapshot;
 2. ``kill -9`` a worker mid-run and watch the router heal it —
-   respawn, rehydrate from the store, replay unacked batches — with
-   the final scores bit-identical to an undisturbed run;
-3. scale the fleet from 2 to 3 workers mid-stream; only the streams
-   whose hash slot changed migrate, and the move is invisible in the
-   score series.
+   respawn, rehydrate from the saved snapshots, replay unacked
+   batches — with the final scores bit-identical to an undisturbed
+   run.
 
 Run:
     python examples/sharded_serving.py
@@ -20,18 +18,10 @@ Run:
 
 from __future__ import annotations
 
-import tempfile
-
 import numpy as np
 
 from repro.baselines.spectral_residual import SpectralResidualWindowScorer
-from repro.serve import (
-    EngineConfig,
-    FileBackedStore,
-    ModelRegistry,
-    RecordingEngine,
-    ShardRouter,
-)
+from repro.serve import EngineConfig, ModelRegistry, RecordingEngine, ShardRouter
 
 STREAMS = 16
 CHUNK = 100
@@ -85,23 +75,14 @@ def main() -> None:
     reference = sorted(engine.take_records())
     print(f"scored {len(reference)} windows, {len(reference_alerts)} alerts")
 
-    print("\n=== sharded run with a kill -9 and a mid-stream scale-out ===")
+    print("\n=== sharded run with a kill -9 ===")
     records, alerts = [], []
-    with (
-        tempfile.TemporaryDirectory(prefix="shard-example-") as store_dir,
-        ShardRouter(
-            make_engine, workers=2, store=FileBackedStore(store_dir)
-        ) as router,
-    ):
+    with ShardRouter(make_engine, workers=2) as router:
         for round_index, position in enumerate(range(0, CHUNK * ROUNDS, CHUNK)):
             if round_index == 3:
                 victim = router.workers[0]
                 pid = router.kill_worker(victim)
                 print(f"round {round_index}: SIGKILLed {victim} (pid {pid})")
-            if round_index == 5:
-                moved = router.add_worker("w2")
-                print(f"round {round_index}: scaled to 3 workers, "
-                      f"{len(moved)}/{STREAMS} streams migrated")
             batch = [
                 (stream_id, series[position : position + CHUNK])
                 for stream_id, series in fleet.items()
@@ -112,7 +93,7 @@ def main() -> None:
 
     print(f"scored {len(records)} windows, {len(alerts)} alerts, "
           f"respawns={report['respawns']}")
-    for name, count in sorted(report["ring"].items()):
+    for name, count in sorted(report["placement"].items()):
         print(f"  {name}: {count} streams")
 
     identical = sorted(records) == reference
@@ -121,7 +102,7 @@ def main() -> None:
     assert sorted(
         (a.stream_id, a.index, a.score) for a in alerts
     ) == sorted((a.stream_id, a.index, a.score) for a in reference_alerts)
-    print("every alert matched, through a kill -9 and a rebalance.")
+    print("every alert matched, through a kill -9.")
 
 
 if __name__ == "__main__":

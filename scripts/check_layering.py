@@ -34,10 +34,9 @@ the serving subsystem itself a DAG: the engine at the centre, and the
 shard fabric and the replay harness each built on it:
 
     0  stream            (ring buffers, per-stream window state)
-    1  stores            (pluggable stream-state store backends)
     2  registry          (fixed fallback chain)
     3  engine            (micro-batching scorer; state externalization)
-    4  shard             (hash ring, worker processes, router)
+    4  shard             (placement, worker processes, router)
     5  replay            (labelled replay harness + failover drill)
     6  __init__          (facade)
 
@@ -126,7 +125,6 @@ IMPORT_LEAF = {"nn"}
 # the serving subsystem's own modules (see module docstring).
 SERVE_SUBLAYERS: dict[str, int] = {
     "stream": 0,
-    "stores": 1,
     "registry": 2,
     "engine": 3,
     "shard": 4,

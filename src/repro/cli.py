@@ -165,17 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="jobs.registry detector name; the scorer "
                               "is built once and every worker forks it")
     p_shard.add_argument("--workers", type=int, default=4,
-                         help="worker processes on the hash ring")
+                         help="worker processes in the fixed fleet")
     p_shard.add_argument("--streams", type=int, default=64,
                          help="concurrent streams to simulate")
     p_shard.add_argument("--chunk", type=int, default=128,
                          help="points per stream per submit round")
-    p_shard.add_argument("--store", choices=["memory", "file"],
-                         default="memory",
-                         help="stream-state store backend")
-    p_shard.add_argument("--store-dir", type=Path, default=None,
-                         help="directory for --store file (default: a "
-                              "temporary directory)")
     p_shard.add_argument("--max-window", type=int, default=128,
                          help="window-length cap for the detector plan")
     p_shard.add_argument("--kill-worker", action="store_true",
@@ -470,20 +464,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_serve_shard(args) -> int:
     """Feed ``dataset.test`` as N identical streams through the fabric."""
-    import contextlib
     import json as json_module
-    import tempfile
     import time as time_module
 
     from .jobs.registry import build_scorer
-    from .serve import (
-        EngineConfig,
-        FileBackedStore,
-        InMemoryStore,
-        ModelRegistry,
-        ScoringEngine,
-        ShardRouter,
-    )
+    from .serve import EngineConfig, ModelRegistry, ScoringEngine, ShardRouter
 
     dataset = _load_dataset(args.dataset)
     print(f"dataset {dataset.name}: test={len(dataset.test)} "
@@ -505,21 +490,7 @@ def _cmd_serve_shard(args) -> int:
     ids = [f"{dataset.name}#{i}" for i in range(args.streams)]
     kill_round = max((len(series) + args.chunk - 1) // args.chunk, 1) // 2
     alerts = 0
-    with contextlib.ExitStack() as stack:
-        if args.store == "file":
-            # Without --store-dir the store lives exactly as long as the
-            # router: the temporary directory goes when the run ends.
-            store = FileBackedStore(
-                args.store_dir
-                or stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-shard-")
-                )
-            )
-        else:
-            store = InMemoryStore()
-        router = stack.enter_context(
-            ShardRouter(make_engine, workers=args.workers, store=store)
-        )
+    with ShardRouter(make_engine, workers=args.workers) as router:
         start_time = time_module.perf_counter()
         for round_index, start in enumerate(range(0, len(series), args.chunk)):
             if args.kill_worker and round_index == kill_round:
@@ -532,20 +503,18 @@ def _cmd_serve_shard(args) -> int:
         report = router.report()
     points = len(series) * len(ids)
     print(f"\nsharded replay: {points} points over {len(ids)} streams, "
-          f"{args.workers} workers, store={args.store}")
+          f"{args.workers} workers")
     print(f"  throughput: {points / max(duration, 1e-9):,.0f} points/s "
           f"({duration:.2f}s)")
     print(f"  alerts: {alerts}   respawns: {report['respawns']}")
-    for name, ring_count in sorted(report["ring"].items()):
-        worker = report["workers"].get(name, {})
-        scored = worker.get("windows_scored", "?")
-        print(f"  {name}: {ring_count} streams, {scored} windows scored")
+    for name, worker in sorted(report["workers"].items()):
+        print(f"  {name}: {report['placement'][name]} streams, "
+              f"{worker['windows_scored']} windows scored")
     if args.json is not None:
         payload = {
             "points": points,
             "streams": len(ids),
             "workers": args.workers,
-            "store": args.store,
             "duration_s": duration,
             "alerts": alerts,
             "report": report,

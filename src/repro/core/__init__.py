@@ -3,7 +3,6 @@
 from .config import DOMAINS, TriADConfig
 from .detector import TriAD, TriADDetection
 from .encoder import DilatedConvEncoder, ResidualBlock, TriDomainEncoder
-from .features import domain_channels, extract_all_domains, extract_domain
 from .multivariate import MultivariateDetection, MultivariateTriAD
 from .losses import inter_domain_loss, intra_domain_loss, total_contrastive_loss
 from .persistence import load_detector, save_detector
@@ -19,9 +18,6 @@ __all__ = [
     "DilatedConvEncoder",
     "ResidualBlock",
     "TriDomainEncoder",
-    "domain_channels",
-    "extract_all_domains",
-    "extract_domain",
     "inter_domain_loss",
     "intra_domain_loss",
     "total_contrastive_loss",

@@ -27,8 +27,8 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..nn.tensor import Tensor
+from ..pipeline.features import domain_channels
 from .config import TriADConfig
-from .features import domain_channels
 
 __all__ = [
     "ENCODER_DTYPE",

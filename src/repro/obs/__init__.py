@@ -33,7 +33,6 @@ from .session import (
     observe,
     observed,
     span,
-    timer,
     uninstall,
     uninstrument_nn,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "incr",
     "gauge",
     "observe",
-    "timer",
     "span",
     "event",
     "export_jsonl",

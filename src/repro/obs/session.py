@@ -2,7 +2,7 @@
 
 All instrumentation in the codebase goes through the module-level
 functions here (:func:`incr`, :func:`gauge`, :func:`observe`,
-:func:`timer`, :func:`span`, :func:`event`).  When no session is
+:func:`span`, :func:`event`).  When no session is
 active — the default — every one of them is a single ``is None`` check,
 so uninstrumented runs pay ~nothing.  Activating a session
 (:func:`install` or the :func:`observed` context manager) routes the
@@ -34,7 +34,6 @@ __all__ = [
     "incr",
     "gauge",
     "observe",
-    "timer",
     "span",
     "event",
     "export_jsonl",
@@ -222,11 +221,6 @@ def span(name: str, **attrs):
     if session is None:
         return _NOOP
     return _SpanContext(session, name, attrs)
-
-
-def timer(name: str):
-    """Alias of :func:`span` for callers that only care about duration."""
-    return span(name)
 
 
 def export_jsonl(path: str | os.PathLike) -> int:

@@ -6,10 +6,9 @@ Each window yields three views:
 - *frequency*: Table I's spectral amplitude/phase/power, 3 channels;
 - *residual*: the window with its periodic structure removed, 1 channel.
 
-This module is the canonical home of the extraction primitives (it
-moved here from ``repro.core.features`` so the pipeline layer can own
-windowing *and* featurization without importing upward into ``core``;
-``repro.core.features`` re-exports everything for compatibility).  The
+This module is the one home of the extraction primitives: the
+pipeline layer owns windowing *and* featurization without importing
+upward into ``core``.  The
 residual path runs through the batched, bit-identical
 :func:`repro.signal.decompose.residual_components`, which amortizes the
 per-window decomposition loop — the hot ~90% of extraction.

@@ -1,9 +1,9 @@
 """Durable append-only JSONL journals and atomic file writes.
 
-The one home of durability code in ``repro``: the sweep checkpoint, the
-job store, the file-backed stream store and the adaptation audit trail
-all write and replay through :func:`append`, :func:`load` and
-:func:`atomic_write`.  A process killed mid-append leaves a torn final
+The one home of durability code in ``repro``: the sweep checkpoint and
+the job store write and replay through :func:`append`, :func:`load` and
+:func:`atomic_write` (the ``repro profile`` reader replays metric
+exports through :func:`load`).  A process killed mid-append leaves a torn final
 line; it costs that record only, because the next append starts a fresh
 line and replay skips the torn bytes with a warning.
 """

@@ -7,9 +7,9 @@ fallback chain of scorers behind circuit breakers
 admission control and the one latency budget, its adaptive batch limit
 (:mod:`repro.serve.engine`), a labelled-replay
 harness with a failover drill (:mod:`repro.serve.replay`, surfaced as
-``repro serve-replay``), and a sharded multi-worker fabric with pluggable
-stream-state stores (:mod:`repro.serve.stores`,
-:mod:`repro.serve.shard`, surfaced as ``repro serve-shard`` — see
+``repro serve-replay``), and a sharded fabric over a fixed fleet of
+worker processes that keeps each stream's last acked snapshot
+(:mod:`repro.serve.shard`, surfaced as ``repro serve-shard`` — see
 ``docs/SHARDING.md``).
 
 Quick start::
@@ -26,7 +26,7 @@ Quick start::
 See ``docs/SERVING.md`` for the architecture and semantics.
 """
 
-from .engine import EngineConfig, ScoringEngine, StreamAlert
+from .engine import EngineConfig, ScoringEngine, StreamAlert, StreamSnapshot
 from .registry import (
     DegradationExhaustedError,
     DiscordWindowScorer,
@@ -41,23 +41,13 @@ from .replay import (
     build_registry,
     replay_dataset,
 )
-from .shard import HashRing, RecordingEngine, ShardRouter
-from .stores import (
-    FileBackedStore,
-    InMemoryStore,
-    StoreProvider,
-    StreamSnapshot,
-)
+from .shard import RecordingEngine, ShardRouter
 from .stream import ReadyWindow, RingBuffer, StreamState
 
 __all__ = [
-    "HashRing",
     "RecordingEngine",
     "ShardRouter",
-    "StoreProvider",
     "StreamSnapshot",
-    "InMemoryStore",
-    "FileBackedStore",
     "RingBuffer",
     "ReadyWindow",
     "StreamState",

@@ -36,10 +36,9 @@ import numpy as np
 from .. import obs
 from ..obs.metrics import Histogram
 from .registry import ModelEntry, ModelRegistry
-from .stores import StreamSnapshot
 from .stream import ReadyWindow, RingBuffer, StreamState
 
-__all__ = ["EngineConfig", "StreamAlert", "ScoringEngine"]
+__all__ = ["EngineConfig", "StreamAlert", "StreamSnapshot", "ScoringEngine"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,21 @@ class StreamAlert:
     score: float
     threshold: float
     model: str
+
+
+@dataclass(frozen=True)
+class StreamSnapshot:
+    """Everything one stream needs to continue on another engine.
+
+    ``stream`` is the :meth:`~repro.serve.stream.StreamState.snapshot`
+    dict (window cadence + ring buffer) and ``baseline`` the alert
+    baseline ring's snapshot (``None`` before the first scored window).
+    The shard fabric sends snapshots over worker pipes as they are.
+    """
+
+    stream_id: str
+    stream: dict
+    baseline: dict | None = None
 
 
 @dataclass
@@ -282,29 +296,24 @@ class ScoringEngine:
     # ------------------------------------------------------------------
     # State externalization (the shard fabric's contract)
     # ------------------------------------------------------------------
-    def export_stream(self, stream_id: str, evict: bool = False) -> StreamSnapshot | None:
+    def export_stream(self, stream_id: str) -> StreamSnapshot | None:
         """Capture one stream's full state as a :class:`StreamSnapshot`.
 
         Covers the sliding-window state and the alert baseline ring —
         everything another engine needs to continue the stream with
         bit-identical windows and alert decisions.  Callers should
-        :meth:`drain` first so no windows of the stream are pending;
-        with ``evict=True`` the stream is removed from this engine
-        (migration), and any windows of it still queued are dropped and
-        counted as shed.
+        :meth:`drain` first so no windows of the stream are pending.
+        Returns ``None`` for a stream this engine has never seen.
         """
         state = self._streams.get(stream_id)
         if state is None:
             return None
         baseline = self._baselines.get(stream_id)
-        snapshot = StreamSnapshot(
+        return StreamSnapshot(
             stream_id=stream_id,
             stream=state.snapshot(),
             baseline=baseline.snapshot() if baseline is not None else None,
         )
-        if evict:
-            self.remove_stream(stream_id)
-        return snapshot
 
     def import_stream(self, snapshot: StreamSnapshot) -> None:
         """Adopt a stream exported by another engine.
@@ -319,20 +328,6 @@ class ScoringEngine:
             self._baselines[stream_id] = RingBuffer.from_snapshot(snapshot.baseline)
         else:
             self._baselines.pop(stream_id, None)
-
-    def remove_stream(self, stream_id: str) -> None:
-        """Forget a stream entirely (it migrated away or closed)."""
-        self._streams.pop(stream_id, None)
-        self._baselines.pop(stream_id, None)
-        pending = len(self._queue)
-        if pending:
-            self._queue = deque(
-                ready for ready in self._queue if ready.stream_id != stream_id
-            )
-            dropped = pending - len(self._queue)
-            if dropped:
-                self.stats.shed += dropped
-                obs.incr("serve.windows_shed", dropped)
 
     def _adapt_batch_limit(self, elapsed: float) -> None:
         budget = self.config.latency_budget_s

@@ -1,39 +1,37 @@
 """Sharded multi-worker serving: streams partitioned across processes.
 
 A single :class:`~repro.serve.engine.ScoringEngine` caps out at one
-core.  This module splits the stream population across N worker
-processes (:class:`repro.runtime.workers.ForkWorker`), each running
-its own engine over the streams a consistent hash assigns it, with all
-per-stream state externalized through a
-:class:`~repro.serve.stores.StoreProvider` so workers are
+core.  This module splits the stream population across a fixed fleet
+of N worker processes (:class:`repro.runtime.workers.ForkWorker`), each
+running its own engine over the streams placed on it.  The router
+keeps every stream's last acknowledged
+:class:`~repro.serve.engine.StreamSnapshot`, so workers are
 restartable.
 
 Topology and guarantees:
 
-- :class:`HashRing` — consistent hashing with virtual nodes.  Adding or
-  removing a worker moves only the streams whose hash slot changed
-  (~1/N of them), never reshuffles the rest.
+- **Placement** — stream ``s`` lives on worker ``w{blake2b(s) % N}``
+  for the router's whole life.  The hash is blake2b, never Python's
+  salted ``hash()``, so placement is the same in every process and run.
 - :class:`ShardRouter` — the parent-side fabric.  ``submit()`` groups a
   round of per-stream point chunks by owning worker, sends one
   ``points`` batch per worker over a duplex pipe, and collects replies.
   A batch is **acknowledged** only after its reply arrives *and* the
-  per-stream snapshots it carries are persisted to the store; alerts
-  are surfaced to the caller only with the ack.  Until then the batch
-  stays in the router's in-flight ledger.
+  per-stream snapshots it carries are saved in the router; alerts are
+  surfaced to the caller only with the ack.  Until then the batch stays
+  in the router's in-flight ledger.
 - **Crash recovery** — when a worker dies (chaos drill: ``kill -9``)
   the router drains whatever replies the dead worker already wrote to
   the pipe (acking them normally), respawns the process, rehydrates its
-  streams from the store, and replays the unacknowledged in-flight
-  batches in their original order.  Because every acked batch's
-  post-state is in the store and un-acked batches re-run from that
+  streams from the saved snapshots, and replays the unacknowledged
+  in-flight batches in their original order.  Because every acked
+  batch's post-state is saved and un-acked batches re-run from that
   state, the recovered run's scores and alerts are bit-identical to an
   uninterrupted one, and no acknowledged stream is ever lost.  The
-  exactness holds for stateless scorers: a snapshot carries window,
-  window and baseline state, never state the scorer or registry keeps.
-- **Migration** — ``add_worker`` / ``remove_worker`` export the moved
-  streams (engine → snapshot → store) and hydrate them into their new
-  owner; :meth:`~repro.serve.engine.ScoringEngine.import_stream`'s
-  exactness contract makes the move invisible in the score series.
+  exactness holds for stateless scorers: a snapshot carries window
+  and baseline state, never state the scorer or registry keeps.  The
+  snapshots live as long as the router does; a new router starts every
+  stream afresh.
 
 Workers are forks: the router takes a zero-argument
 ``make_engine`` callable, and each worker calls it after
@@ -45,7 +43,6 @@ reaches every worker and every respawn as it stands.  See
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import os
 import signal
@@ -56,78 +53,9 @@ import numpy as np
 
 from .. import obs
 from ..runtime.workers import ForkWorker, WorkerDied
-from .engine import ScoringEngine, StreamAlert
-from .stores import InMemoryStore, StoreProvider, StreamSnapshot
+from .engine import ScoringEngine, StreamAlert, StreamSnapshot
 
-__all__ = ["HashRing", "RecordingEngine", "ShardRouter"]
-
-
-# ----------------------------------------------------------------------
-# Consistent hashing
-# ----------------------------------------------------------------------
-class HashRing:
-    """Consistent hash ring with virtual nodes.
-
-    Hashes are blake2b-based, never Python's salted ``hash()``, so the
-    ring is deterministic across processes and runs — a worker and the
-    router always agree on ownership.
-    """
-
-    def __init__(self, nodes=(), vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
-        self._hashes: list[int] = []
-        self._owners: list[str] = []
-        self._nodes: set[str] = set()
-        for node in nodes:
-            self.add_node(node)
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    @property
-    def nodes(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def add_node(self, node: str) -> None:
-        if node in self._nodes:
-            raise ValueError(f"node {node!r} already on the ring")
-        self._nodes.add(node)
-        for i in range(self.vnodes):
-            point = self._hash(f"{node}#{i}")
-            at = bisect.bisect_left(self._hashes, point)
-            self._hashes.insert(at, point)
-            self._owners.insert(at, node)
-
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise KeyError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._hashes, self._owners)
-            if owner != node
-        ]
-        self._hashes = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-
-    def owner(self, key: str) -> str:
-        if not self._hashes:
-            raise RuntimeError("hash ring has no nodes")
-        at = bisect.bisect_right(self._hashes, self._hash(key))
-        if at == len(self._hashes):
-            at = 0
-        return self._owners[at]
-
-    def assignments(self, keys) -> dict[str, list[str]]:
-        """Map node -> sorted keys it owns (nodes with none included)."""
-        out: dict[str, list[str]] = {node: [] for node in self._nodes}
-        for key in keys:
-            out[self.owner(key)].append(key)
-        return {node: sorted(keys) for node, keys in out.items()}
+__all__ = ["RecordingEngine", "ShardRouter"]
 
 
 # ----------------------------------------------------------------------
@@ -155,21 +83,6 @@ class RecordingEngine(ScoringEngine):
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _alert_payload(alert: StreamAlert) -> tuple:
-    return (alert.stream_id, alert.index, alert.score, alert.threshold, alert.model)
-
-
-def _alert_from_payload(payload: tuple) -> StreamAlert:
-    stream_id, index, score, threshold, model = payload
-    return StreamAlert(
-        stream_id=stream_id,
-        index=index,
-        score=score,
-        threshold=threshold,
-        model=model,
-    )
-
-
 def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
     """Worker loop: build the engine, serve messages until ``stop``.
 
@@ -188,18 +101,12 @@ def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
             _, batch_id, items = message
             scored_before = engine.stats.windows_scored
             alerts: list[StreamAlert] = []
-            touched: list[str] = []
-            seen: set[str] = set()
             for stream_id, values in items:
                 alerts.extend(engine.ingest_many(stream_id, values))
-                if stream_id not in seen:
-                    seen.add(stream_id)
-                    touched.append(stream_id)
             alerts.extend(engine.drain())
-            snapshots = [
-                engine.export_stream(stream_id).to_payload()
-                for stream_id in touched
-            ]
+            touched = dict.fromkeys(stream_id for stream_id, _ in items)
+            # A stream whose only chunk so far was empty has no state yet.
+            snapshots = [s for s in map(engine.export_stream, touched) if s is not None]
             records = (
                 engine.take_records()
                 if isinstance(engine, RecordingEngine)
@@ -209,25 +116,17 @@ def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
                 (
                     "scored",
                     batch_id,
-                    [_alert_payload(alert) for alert in alerts],
+                    alerts,
                     snapshots,
                     records,
                     engine.stats.windows_scored - scored_before,
                 )
             )
         elif kind == "hydrate":
-            _, payloads = message
-            for payload in payloads:
-                engine.import_stream(StreamSnapshot.from_payload(payload))
-            conn.send(("hydrated", len(payloads)))
-        elif kind == "export":
-            _, stream_ids, evict = message
-            payloads = []
-            for stream_id in stream_ids:
-                snapshot = engine.export_stream(stream_id, evict=evict)
-                if snapshot is not None:
-                    payloads.append(snapshot.to_payload())
-            conn.send(("exported", payloads))
+            _, snapshots = message
+            for snapshot in snapshots:
+                engine.import_stream(snapshot)
+            conn.send(("hydrated", len(snapshots)))
         elif kind == "report":
             conn.send(("report", engine.report()))
         elif kind == "stop":
@@ -242,7 +141,7 @@ def _worker_main(conn, make_engine: Callable[[], ScoringEngine]) -> None:
 # The router
 # ----------------------------------------------------------------------
 class ShardRouter:
-    """Partitions streams across worker processes by consistent hash.
+    """Partitions streams across a fixed fleet of worker processes.
 
     Usage::
 
@@ -253,7 +152,7 @@ class ShardRouter:
             registry.register(scorer)
             return ScoringEngine(registry, EngineConfig(window_length=64))
 
-        with ShardRouter(make_engine, workers=4, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=4) as router:
             alerts = router.submit([("stream-7", chunk), ...])
 
     ``make_engine`` runs in each worker after the fork, so what it
@@ -265,21 +164,19 @@ class ShardRouter:
     """
 
     def __init__(
-        self,
-        make_engine: Callable[[], ScoringEngine],
-        workers: int = 4,
-        store: StoreProvider | None = None,
+        self, make_engine: Callable[[], ScoringEngine], workers: int = 4
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.make_engine = make_engine
-        self.store = store if store is not None else InMemoryStore()
-        self.ring = HashRing()
+        self._fleet_size = workers
         self._workers: dict[str, ForkWorker] = {}
         self._inflight: dict[str, OrderedDict] = {}
         self._results: dict[int, tuple[list, list]] = {}
         self._dead: set[str] = set()
-        self._known: set[str] = set()
+        # The last acked snapshot of every stream: what a respawned
+        # worker is rehydrated from.
+        self._snapshots: dict[str, StreamSnapshot] = {}
         self._next_batch = 0
         # Windows per worker, counted by the router as it acks batches:
         # a respawned worker's engine starts at zero, this tally does not.
@@ -287,8 +184,14 @@ class ShardRouter:
         self.respawns = 0
         self.last_records: list[tuple[str, int, float]] = []
         for i in range(workers):
-            self.ring.add_node(f"w{i}")
+            self._windows_scored[f"w{i}"] = 0
             self._spawn(f"w{i}")
+
+    # -- placement -------------------------------------------------------
+    def owner(self, stream_id: str) -> str:
+        """The worker a stream is placed on: ``w{blake2b(id) % N}``."""
+        digest = hashlib.blake2b(stream_id.encode("utf-8"), digest_size=8).digest()
+        return f"w{int.from_bytes(digest, 'big') % self._fleet_size}"
 
     # -- lifecycle -------------------------------------------------------
     def _spawn(self, name: str) -> None:
@@ -303,7 +206,7 @@ class ShardRouter:
 
     @property
     def known_streams(self) -> list[str]:
-        return sorted(self._known)
+        return sorted(self._snapshots)
 
     def kill_worker(self, name: str) -> int:
         """``kill -9`` a worker (the chaos drill) and reap it; returns its
@@ -345,10 +248,7 @@ class ShardRouter:
         count_points = 0
         for stream_id, values in items:
             values = np.asarray(values, dtype=np.float64).ravel()
-            self._known.add(stream_id)
-            groups.setdefault(self.ring.owner(stream_id), []).append(
-                (stream_id, values)
-            )
+            groups.setdefault(self.owner(stream_id), []).append((stream_id, values))
             count_points += len(values)
         sent: list[tuple[str, int]] = []
         for name, batch in groups.items():
@@ -401,23 +301,20 @@ class ShardRouter:
         kind = reply[0]
         if kind != "scored":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unexpected reply from {name}: {kind!r}")
-        _, batch_id, alert_payloads, snapshot_payloads, records, scored = reply
-        # Persist-then-ack: the store write is what makes the batch
-        # durable; only after it succeeds do alerts surface.
-        self.store.save_many(
-            StreamSnapshot.from_payload(payload) for payload in snapshot_payloads
-        )
+        _, batch_id, alerts, snapshots, records, scored = reply
+        # Save-then-ack: the saved snapshots are what a respawn resumes
+        # from; only after they are in place do alerts surface.
+        for snapshot in snapshots:
+            self._snapshots[snapshot.stream_id] = snapshot
         self._inflight[name].pop(batch_id, None)
-        self._windows_scored[name] = self._windows_scored.get(name, 0) + scored
-        self._results[batch_id] = (
-            [_alert_from_payload(payload) for payload in alert_payloads],
-            list(records),
-        )
+        self._windows_scored[name] += scored
+        self._results[batch_id] = (alerts, records)
 
     # -- failure recovery ------------------------------------------------
     def _heal(self, name: str) -> None:
         """Respawn a dead worker: drain its last replies, rehydrate its
-        streams from the store, replay unacknowledged batches in order."""
+        streams from the saved snapshots, replay unacknowledged batches
+        in order."""
         worker = self._workers[name]
         # 1. Drain replies the worker wrote before dying — those batches
         #    completed; ack them normally so they are not replayed.
@@ -430,21 +327,25 @@ class ShardRouter:
                 break
             self._process_reply(name, reply)
         worker.close()
-        # 2. Respawn and rehydrate every stream the ring assigns here.
+        # 2. Respawn and rehydrate every stream placed here.
         self._spawn(name)
         self.respawns += 1
         obs.incr("serve.shard.respawns")
-        owned = [
-            stream_id
-            for stream_id in sorted(self._known)
-            if self.ring.owner(stream_id) == name
-        ]
-        self._hydrate(name, owned)
-        # 3. Replay the unacknowledged in-flight batches in order.  The
-        #    store holds the pre-batch state, so re-running them yields
-        #    the exact scores the lost run would have produced.
-        pending = list(self._inflight[name].items())
         worker = self._workers[name]
+        owned = [
+            snapshot
+            for stream_id, snapshot in sorted(self._snapshots.items())
+            if self.owner(stream_id) == name
+        ]
+        if owned:
+            worker.send(("hydrate", owned))
+            reply = worker.recv()
+            if reply[0] != "hydrated":  # pragma: no cover - protocol misuse
+                raise RuntimeError(f"unexpected hydrate reply: {reply[0]!r}")
+        # 3. Replay the unacknowledged in-flight batches in order.  The
+        #    snapshots hold the pre-batch state, so re-running them
+        #    yields the exact scores the lost run would have produced.
+        pending = list(self._inflight[name].items())
         for batch_id, batch in pending:
             worker.send(("points", batch_id, batch))
         for batch_id, _ in pending:
@@ -452,133 +353,33 @@ class ShardRouter:
                 self._process_reply(name, worker.recv())
         obs.event("serve.shard.healed", worker=name, replayed=len(pending))
 
-    def _hydrate(self, name: str, stream_ids) -> None:
-        payloads = []
-        for stream_id in stream_ids:
-            snapshot = self.store.load(stream_id)
-            if snapshot is not None:
-                payloads.append(snapshot.to_payload())
-        if not payloads:
-            return
-        worker = self._workers[name]
-        worker.send(("hydrate", payloads))
-        reply = worker.recv()
-        if reply[0] != "hydrated":  # pragma: no cover - protocol misuse
-            raise RuntimeError(f"unexpected hydrate reply: {reply[0]!r}")
-
-    # -- topology changes ------------------------------------------------
-    def add_worker(self, name: str) -> list[str]:
-        """Join a worker; migrate only the streams whose slot moved.
-
-        Returns the migrated stream ids.  Call between submit rounds
-        (no in-flight batches).
-        """
-        self._assert_quiescent()
-        before = {
-            stream_id: self.ring.owner(stream_id) for stream_id in self._known
-        }
-        self.ring.add_node(name)
-        self._spawn(name)
-        moved: dict[str, list[str]] = {}
-        for stream_id, old_owner in before.items():
-            if self.ring.owner(stream_id) != old_owner:
-                moved.setdefault(old_owner, []).append(stream_id)
-        for old_owner, stream_ids in moved.items():
-            self._migrate(old_owner, name, sorted(stream_ids))
-        migrated = sorted(sid for ids in moved.values() for sid in ids)
-        obs.event("serve.shard.rebalance", joined=name, moved=len(migrated))
-        return migrated
-
-    def remove_worker(self, name: str) -> list[str]:
-        """Drain a worker out of the ring; migrate its streams away.
-
-        Returns the migrated stream ids.  Only the departing worker's
-        streams move — consistent hashing leaves the rest in place.
-        """
-        self._assert_quiescent()
-        if len(self._workers) <= 1:
-            raise ValueError("cannot remove the last worker")
-        owned = sorted(
-            stream_id
-            for stream_id in self._known
-            if self.ring.owner(stream_id) == name
-        )
-        # Export through the store *before* the worker leaves.
-        self._export_to_store(name, owned, evict=True)
-        self.ring.remove_node(name)
-        worker = self._workers.pop(name)
-        self._inflight.pop(name, None)
-        self._dead.discard(name)
-        try:
-            worker.send(("stop",))
-            worker.recv()
-        except WorkerDied:
-            pass
-        worker.close()
-        for new_owner, stream_ids in self.ring.assignments(owned).items():
-            if stream_ids:
-                self._hydrate(new_owner, stream_ids)
-        obs.event("serve.shard.rebalance", left=name, moved=len(owned))
-        obs.gauge("serve.shard.workers", len(self._workers))
-        return owned
-
-    def _migrate(self, source: str, target: str, stream_ids) -> None:
-        self._export_to_store(source, stream_ids, evict=True)
-        self._hydrate(target, stream_ids)
-
-    def _export_to_store(self, name: str, stream_ids, evict: bool) -> None:
-        if not stream_ids:
-            return
-        if name in self._dead or not self._workers[name].alive():
-            return  # store already holds the last acked state
-        worker = self._workers[name]
-        worker.send(("export", list(stream_ids), evict))
-        reply = worker.recv()
-        if reply[0] != "exported":  # pragma: no cover - protocol misuse
-            raise RuntimeError(f"unexpected export reply: {reply[0]!r}")
-        self.store.save_many(
-            StreamSnapshot.from_payload(payload) for payload in reply[1]
-        )
-
-    def _assert_quiescent(self) -> None:
-        busy = {
-            name: len(pending)
-            for name, pending in self._inflight.items()
-            if pending
-        }
-        if busy:
-            raise RuntimeError(
-                f"topology change with in-flight batches: {busy}; "
-                f"finish the submit round first"
-            )
-
     # -- introspection ---------------------------------------------------
     def report(self) -> dict:
-        """JSON-ready fabric report including each worker's engine view.
+        """JSON-ready fabric report including each live worker's engine
+        view.
 
         ``windows_scored``, per worker and for the fleet, is the router's
-        tally of acked batches, so it survives a respawn.
+        tally of acked batches, so it survives a respawn and is reported
+        for a dead worker too.
         """
         workers = {}
+        placement = dict.fromkeys(self.workers, 0)
+        for stream_id in self._snapshots:
+            placement[self.owner(stream_id)] += 1
         for name in self.workers:
             worker = self._workers[name]
-            if name in self._dead or not worker.alive():
-                workers[name] = {"alive": False}
-                continue
-            try:
-                worker.send(("report",))
-                reply = worker.recv()
-                workers[name] = {"alive": True, **reply[1]}
-                workers[name]["windows_scored"] = self._windows_scored.get(name, 0)
-            except WorkerDied:
-                self._mark_dead(name)
-                workers[name] = {"alive": False}
+            workers[name] = {"alive": False}
+            if name not in self._dead and worker.alive():
+                try:
+                    worker.send(("report",))
+                    workers[name] = {"alive": True, **worker.recv()[1]}
+                except WorkerDied:
+                    self._mark_dead(name)
+            workers[name]["windows_scored"] = self._windows_scored[name]
         return {
             "workers": workers,
-            "ring": {name: len(ids) for name, ids in
-                     self.ring.assignments(self._known).items()},
-            "streams": len(self._known),
+            "placement": placement,
+            "streams": len(self._snapshots),
             "windows_scored": sum(self._windows_scored.values()),
             "respawns": self.respawns,
-            "store": type(self.store).__name__,
         }

@@ -16,8 +16,7 @@ Both classes round-trip exactly through ``snapshot()`` /
 ``from_snapshot()`` — data, running sums, cursor, append counter, and
 emission cadence included — so a stream can be frozen on one worker
 and resumed on another with bit-identical subsequent windows (the
-contract the :mod:`repro.serve.stores` backends and the shard fabric
-rest on).
+contract the shard fabric's crash recovery rests on).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TriADConfig, domain_channels, extract_all_domains, extract_domain
+from repro.core import TriADConfig
+from repro.pipeline import domain_channels, extract_all_domains, extract_domain
 
 
 class TestConfig:

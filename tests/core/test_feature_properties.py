@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import extract_domain
+from repro.pipeline import extract_domain
 
 
 def make_windows(seed: int, batch: int = 3, length: int = 64) -> np.ndarray:

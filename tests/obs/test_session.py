@@ -26,8 +26,6 @@ class TestFacadeDisabled:
         obs.event("e", detail=1)
         with obs.span("s") as span:
             span.set(attr=1)
-        with obs.timer("t"):
-            pass
         assert obs.active() is None
         assert obs.export_jsonl("/nonexistent/never-written.jsonl") == 0
 

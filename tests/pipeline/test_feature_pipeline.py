@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import TriADConfig
-from repro.pipeline import (
-    DOMAINS,
-    FeatureCache,
-    FeaturePipeline,
-    extract_all_domains,
-)
+from repro.pipeline import DOMAINS, FeatureCache, FeaturePipeline
 from repro.signal.decompose import residual_component, residual_components
 from repro.signal.windows import plan_windows, sliding_windows
 
@@ -161,12 +156,3 @@ class TestPlanning:
         for domain in DOMAINS:
             assert len(bundle.features[domain]) == len(bundle.windows)
 
-
-def test_core_features_shim_reexports_pipeline():
-    """core.features stays importable but is the pipeline's extraction."""
-    from repro.core import features as core_features
-    from repro.pipeline import features as pipeline_features
-
-    assert core_features.extract_all_domains is pipeline_features.extract_all_domains
-    assert core_features.DOMAINS is pipeline_features.DOMAINS
-    assert extract_all_domains is pipeline_features.extract_all_domains

@@ -124,8 +124,8 @@ def test_parallel_map_should_stop_short_circuits(hang_alarm):
         assert sorted([*seen, *remaining]) == list(range(5))
 
 
-# The process-creating names of ``multiprocessing``; ``shared_memory``
-# (serve.stores) creates no process and is allowed anywhere.
+# The process-creating names of ``multiprocessing``; the rest of the
+# module creates no process and is allowed anywhere.
 _PROCESS_NAMES = {"get_context", "Pool", "Process", "Pipe"}
 
 

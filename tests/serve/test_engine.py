@@ -359,8 +359,8 @@ class TestStreamExternalization:
         uninterrupted.drain()
 
         for stream in source.streams:
-            resumed.import_stream(source.export_stream(stream, evict=True))
-        assert source.streams == []
+            resumed.import_stream(source.export_stream(stream))
+        assert resumed.streams == source.streams
 
         continued, reference = [], []
         for stream, values in feed.items():
@@ -379,13 +379,16 @@ class TestStreamExternalization:
         engine, _ = make_engine(RecordingScorer())
         assert engine.export_stream("ghost") is None
 
-    def test_remove_stream_drops_queued_windows_as_shed(self, rng):
-        engine, _ = make_engine(RecordingScorer(), max_batch=64)
-        engine.ingest_many("doomed", rng.normal(size=40))
-        engine.ingest_many("kept", rng.normal(size=40))
-        assert engine.queue_depth > 0
-        before = engine.stats.shed
-        engine.remove_stream("doomed")
-        assert engine.stats.shed > before
-        assert all(r.stream_id == "kept" for r in engine._queue)
-        assert "doomed" not in engine.streams
+    def test_snapshot_before_the_first_score_has_no_baseline(self, rng):
+        """A stream exported before its first window was scored carries
+        no baseline, and importing it clears any stale one."""
+        source, _ = make_engine(RecordingScorer())
+        target, _ = make_engine(RecordingScorer())
+        target.ingest_many("s", rng.normal(size=40))
+        target.drain()
+        source.ingest_many("s", rng.normal(size=10))  # < one window
+        snapshot = source.export_stream("s")
+        assert snapshot.baseline is None
+        target.import_stream(snapshot)
+        assert "s" not in target._baselines
+        assert target.export_stream("s").stream["count"] == 10

@@ -1,15 +1,15 @@
-"""Tests for the shard fabric: hash ring, router parity, and
-migration (repro.serve.shard)."""
+"""Tests for the shard fabric: placement, router parity and the
+``serve-shard`` CLI (repro.serve.shard)."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
-import pytest
 
 from repro.baselines.spectral_residual import SpectralResidualWindowScorer
 from repro.serve import EngineConfig, ModelRegistry, ScoringEngine
-from repro.serve.shard import HashRing, RecordingEngine, ShardRouter
-from repro.serve.stores import InMemoryStore
+from repro.serve.shard import RecordingEngine, ShardRouter
 
 
 # ----------------------------------------------------------------------
@@ -95,129 +95,70 @@ def run_rounds(router: ShardRouter, feed, chunk: int = 64, hooks=None):
     )
 
 
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        keys = [f"k{i}" for i in range(200)]
-        a = HashRing(["w0", "w1", "w2"])
-        b = HashRing(["w2", "w0", "w1"])  # insertion order must not matter
-        assert [a.owner(k) for k in keys] == [b.owner(k) for k in keys]
-
-    def test_join_moves_keys_only_to_the_new_node(self):
-        keys = [f"stream/{i}" for i in range(500)]
-        ring = HashRing(["w0", "w1", "w2"])
-        before = {k: ring.owner(k) for k in keys}
-        ring.add_node("w3")
-        moved = {k for k in keys if ring.owner(k) != before[k]}
-        assert 0 < len(moved) < len(keys)
-        assert all(ring.owner(k) == "w3" for k in moved)
-
-    def test_leave_restores_prior_ownership_exactly(self):
-        keys = [f"stream/{i}" for i in range(500)]
-        ring = HashRing(["w0", "w1", "w2"])
-        before = {k: ring.owner(k) for k in keys}
-        ring.add_node("w3")
-        ring.remove_node("w3")
-        assert {k: ring.owner(k) for k in keys} == before
-
-    def test_leave_moves_only_the_departed_nodes_keys(self):
-        keys = [f"stream/{i}" for i in range(500)]
-        ring = HashRing(["w0", "w1", "w2", "w3"])
-        before = {k: ring.owner(k) for k in keys}
-        ring.remove_node("w1")
-        for key in keys:
-            if before[key] != "w1":
-                assert ring.owner(key) == before[key]
-            else:
-                assert ring.owner(key) != "w1"
-
-    def test_every_node_gets_a_fair_share(self):
-        keys = [f"stream/{i}" for i in range(3000)]
-        ring = HashRing(["w0", "w1", "w2", "w3"])
-        counts = {n: len(ids) for n, ids in ring.assignments(keys).items()}
-        assert set(counts) == {"w0", "w1", "w2", "w3"}
-        assert min(counts.values()) > 0.5 * (len(keys) / 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="vnodes"):
-            HashRing(vnodes=0)
-        ring = HashRing(["w0"])
-        with pytest.raises(ValueError, match="already"):
-            ring.add_node("w0")
-        with pytest.raises(KeyError):
-            ring.remove_node("nope")
-        with pytest.raises(RuntimeError, match="no nodes"):
-            HashRing().owner("k")
-
-
 class TestShardedParity:
     def test_sharded_run_matches_unsharded_bit_for_bit(self):
         make_engine = make_factory()
         feed = make_feed()
         want_records, want_alerts = run_unsharded(make_engine, feed)
-        with ShardRouter(make_engine, workers=3, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=3) as router:
             got_records, got_alerts = run_rounds(router, feed)
         assert got_records == want_records
         assert len(want_records) > 0
         assert got_alerts == want_alerts
         assert len(want_alerts) > 0
 
-    def test_store_holds_every_acked_stream(self):
+    def test_router_holds_every_acked_stream(self):
         make_engine = make_factory(record=False)
         feed = make_feed(streams=4)
-        store = InMemoryStore()
-        with ShardRouter(make_engine, workers=2, store=store) as router:
+        with ShardRouter(make_engine, workers=2) as router:
             run_rounds(router, feed)
-            assert store.stream_ids() == sorted(feed)
             assert router.known_streams == sorted(feed)
+            assert all(
+                router._snapshots[sid].stream["count"] == len(feed[sid])
+                for sid in feed
+            )
+
+    def test_placement_is_blake2b_modulo_the_fleet(self):
+        make_engine = make_factory(record=False)
+        feed = make_feed(streams=12, length=96)
+        with ShardRouter(make_engine, workers=3) as router:
+            run_rounds(router, feed)
+            report = router.report()
+            for sid in feed:
+                digest = hashlib.blake2b(sid.encode("utf-8"), digest_size=8).digest()
+                assert router.owner(sid) == f"w{int.from_bytes(digest, 'big') % 3}"
+        assert report["placement"] == {
+            name: sum(router.owner(sid) == name for sid in feed)
+            for name in ("w0", "w1", "w2")
+        }
+        # each worker's engine holds exactly the streams placed on it
+        for name, worker in report["workers"].items():
+            assert worker["streams"] == report["placement"][name]
+
+    def test_empty_first_chunk_of_a_stream_is_a_noop(self):
+        """A stream whose first chunk is empty has no state to snapshot;
+        the round still acks and the stream joins on its next chunk."""
+        make_engine = make_factory(record=False)
+        with ShardRouter(make_engine, workers=2) as router:
+            assert router.submit([("late", np.array([]))]) == []
+            assert router.known_streams == []
+            router.submit([("late", np.zeros(40))])
+            assert router.known_streams == ["late"]
+            assert router.respawns == 0
 
     def test_report_covers_every_worker(self):
         make_engine = make_factory(record=False)
-        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=2) as router:
             run_rounds(router, make_feed(streams=3, length=96))
             report = router.report()
         assert sorted(report["workers"]) == ["w0", "w1"]
         assert all(w["alive"] for w in report["workers"].values())
         assert report["streams"] == 3
-        assert sum(report["ring"].values()) == 3
-
-
-class TestMigration:
-    def test_scale_out_and_in_mid_stream_is_bit_identical(self):
-        make_engine = make_factory()
-        feed = make_feed()
-        want_records, want_alerts = run_unsharded(make_engine, feed)
-        hooks = {
-            3: lambda r: r.add_worker("w2"),
-            5: lambda r: r.remove_worker("w0"),
-        }
-        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
-            got_records, got_alerts = run_rounds(router, feed, hooks=hooks)
-        assert got_records == want_records
-        assert got_alerts == want_alerts
-
-    def test_join_migrates_exactly_the_reassigned_streams(self):
-        make_engine = make_factory(record=False)
-        feed = make_feed(streams=12, length=96)
-        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
-            run_rounds(router, feed)
-            before = {
-                sid: router.ring.owner(sid) for sid in router.known_streams
-            }
-            moved = router.add_worker("w2")
-            assert moved == sorted(
-                sid for sid in before if router.ring.owner(sid) != before[sid]
-            )
-            assert all(router.ring.owner(sid) == "w2" for sid in moved)
-
-    def test_cannot_remove_the_last_worker(self):
-        make_engine = make_factory(record=False)
-        with ShardRouter(make_engine, workers=1, store=InMemoryStore()) as router:
-            with pytest.raises(ValueError, match="last worker"):
-                router.remove_worker("w0")
+        assert sum(report["placement"].values()) == 3
 
 
 class TestServeShardCLI:
-    def test_run_with_file_store_and_chaos_writes_report(self, tmp_path, capsys):
+    def test_run_with_chaos_writes_report(self, tmp_path, capsys):
         import json
 
         from repro.cli import main
@@ -225,8 +166,7 @@ class TestServeShardCLI:
         out = tmp_path / "fabric.json"
         code = main([
             "serve-shard", "--dataset", "4", "--workers", "2",
-            "--streams", "4", "--chunk", "512", "--store", "file",
-            "--store-dir", str(tmp_path / "store"), "--kill-worker",
+            "--streams", "4", "--chunk", "512", "--kill-worker",
             "--json", str(out),
         ])
         assert code == 0
@@ -235,23 +175,4 @@ class TestServeShardCLI:
         payload = json.loads(out.read_text())
         assert payload["streams"] == 4 and payload["workers"] == 2
         assert payload["report"]["respawns"] == 1
-        assert sum(payload["report"]["ring"].values()) == 4
-
-    def test_file_store_without_a_dir_leaves_no_temp_dir(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        import tempfile
-
-        from repro.cli import main
-
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setenv("TMPDIR", str(scratch))
-        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
-        code = main([
-            "serve-shard", "--dataset", "4", "--workers", "2",
-            "--streams", "4", "--chunk", "512", "--store", "file",
-        ])
-        assert code == 0
-        assert "sharded replay" in capsys.readouterr().out
-        assert list(scratch.iterdir()) == []
+        assert sum(payload["report"]["placement"].values()) == 4

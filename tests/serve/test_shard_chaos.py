@@ -1,37 +1,25 @@
 """Chaos drills for the shard fabric: ``kill -9`` a worker mid-run and
-prove recovery is exact for every store backend."""
+prove recovery from the router's saved snapshots is exact."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import TriAD, TriADConfig
 from repro.serve import TriADWindowScorer
 from repro.serve.shard import ShardRouter
-from repro.serve.stores import FileBackedStore, InMemoryStore
 
 from .test_shard import make_factory, make_feed, make_train, run_rounds, run_unsharded
 
 
-def make_store(kind: str, tmp_path):
-    if kind == "memory":
-        return InMemoryStore()
-    return FileBackedStore(tmp_path / "store")
-
-
-@pytest.mark.parametrize("backend", ["memory", "file"])
-def test_kill_nine_recovery_is_bit_identical(backend, tmp_path):
+def test_kill_nine_recovery_is_bit_identical():
     make_engine = make_factory()
     feed = make_feed()
     want_records, want_alerts = run_unsharded(make_engine, feed)
-    store = make_store(backend, tmp_path)
     hooks = {4: lambda router: router.kill_worker(router.workers[0])}
-    with ShardRouter(make_engine, workers=3, store=store) as router:
+    with ShardRouter(make_engine, workers=3) as router:
         got_records, got_alerts = run_rounds(router, feed, hooks=hooks)
         assert router.respawns == 1
         # zero lost acknowledged streams: every stream the router ever
-        # acked is still in the store and still routable
-        assert store.stream_ids() == sorted(feed)
+        # acked still has a saved snapshot and is still routable
         assert router.known_streams == sorted(feed)
     assert got_records == want_records and len(want_records) > 0
     assert got_alerts == want_alerts and len(want_alerts) > 0
@@ -45,7 +33,7 @@ def test_kill_every_worker_once_still_recovers_exactly():
         2: lambda router: router.kill_worker("w0"),
         4: lambda router: router.kill_worker("w1"),
     }
-    with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
+    with ShardRouter(make_engine, workers=2) as router:
         got_records, got_alerts = run_rounds(router, feed, hooks=hooks)
         assert router.respawns == 2
     assert got_records == want_records
@@ -63,7 +51,7 @@ def test_idle_death_heals_on_the_next_submit():
         router.kill_worker("w1")
         assert not router._workers["w1"].alive()
 
-    with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
+    with ShardRouter(make_engine, workers=2) as router:
         got_records, got_alerts = run_rounds(router, feed, hooks={3: kill_idle})
         assert router.respawns == 1
     assert got_records == want_records
@@ -83,7 +71,7 @@ def test_triad_through_the_fabric_is_bit_identical():
     feed = make_feed()
     want_records, want_alerts = run_unsharded(make_engine, feed)
     hooks = {4: lambda router: router.kill_worker(router.workers[0])}
-    with ShardRouter(make_engine, workers=3, store=InMemoryStore()) as router:
+    with ShardRouter(make_engine, workers=3) as router:
         got_records, got_alerts = run_rounds(router, feed, hooks=hooks)
         assert router.respawns == 1
     assert got_records == want_records and len(want_records) > 0
@@ -97,7 +85,7 @@ def test_window_counts_survive_a_respawn():
     feed = make_feed(streams=4)
 
     def report(hooks):
-        with ShardRouter(make_engine, workers=2, store=InMemoryStore()) as router:
+        with ShardRouter(make_engine, workers=2) as router:
             run_rounds(router, feed, hooks=hooks)
             assert router.respawns == len(hooks)
             return router.report()
@@ -111,3 +99,23 @@ def test_window_counts_survive_a_respawn():
         name: worker["windows_scored"] for name, worker in clean["workers"].items()
     }
     assert sum(per_worker.values()) == killed["windows_scored"] == clean["windows_scored"] > 0
+
+
+def test_report_keeps_a_dead_workers_tally():
+    """A worker killed after a round and not yet healed still reports
+    the windows the router acked from it."""
+    make_engine = make_factory()
+    feed = make_feed(streams=4)
+    with ShardRouter(make_engine, workers=2) as router:
+        router.submit([(sid, series[:96]) for sid, series in feed.items()])
+        before = router.report()
+        router.kill_worker("w0")
+        after = router.report()
+    assert after["workers"]["w0"]["alive"] is False
+    per_worker = {
+        name: worker["windows_scored"] for name, worker in after["workers"].items()
+    }
+    assert per_worker == {
+        name: worker["windows_scored"] for name, worker in before["workers"].items()
+    }
+    assert sum(per_worker.values()) == after["windows_scored"] > 0
