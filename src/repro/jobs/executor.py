@@ -56,8 +56,6 @@ class _ChunkWindow:
     stream_id: str
     end_index: int
     window: np.ndarray
-    mean: float
-    std: float
 
     @property
     def start_index(self) -> int:
@@ -75,16 +73,8 @@ def score_chunk(
     """Score one chunk's windows in a single batched call."""
     windows, starts = chunk_windows_view(series, chunk, length, stride)
     batch = [
-        _ChunkWindow(
-            stream_id=tag,
-            end_index=int(start) + length,
-            window=window,
-            mean=float(mean),
-            std=float(std),
-        )
-        for window, start, mean, std in zip(
-            windows, starts, windows.mean(axis=1), windows.std(axis=1)
-        )
+        _ChunkWindow(stream_id=tag, end_index=int(start) + length, window=window)
+        for window, start in zip(windows, starts)
     ]
     scores = np.asarray(scorer.score_windows(windows, batch), dtype=np.float64)
     if scores.shape != (chunk.n_windows,):

@@ -52,6 +52,18 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def _released(grad: np.ndarray) -> None:
+    """Backward closure left on a node whose backward already ran.
+
+    :meth:`Tensor.backward` checks for it before touching any gradient,
+    so a second pass through a freed graph fails before it starts.
+    """
+    raise RuntimeError(
+        "backward() through a graph that was freed: "
+        "a graph can be backpropagated only once"
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
@@ -187,6 +199,15 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        The pass releases the graph as it walks it: once an interior
+        node (one with parents) has run its backward, it drops its
+        ``grad``, closure and parents.  Reverse topological order makes
+        this safe, since every consumer of a node runs before the node
+        itself.  So only leaf tensors (parameters and inputs) keep a
+        ``.grad`` afterwards, and a graph can be backpropagated once: a
+        second ``backward()`` through a released node raises
+        ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -213,6 +234,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released(grad)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -221,8 +244,13 @@ class Tensor:
 
         self._accumulate(grad)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
         if hook is not None:
             hook("backward", "graph", time.perf_counter() - started)
 

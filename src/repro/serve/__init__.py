@@ -42,12 +42,13 @@ from .replay import (
     replay_dataset,
 )
 from .shard import RecordingEngine, ShardRouter
-from .stream import ReadyWindow, RingBuffer, StreamState
+from .stream import PointRing, ReadyWindow, RingBuffer, StreamState
 
 __all__ = [
     "RecordingEngine",
     "ShardRouter",
     "StreamSnapshot",
+    "PointRing",
     "RingBuffer",
     "ReadyWindow",
     "StreamState",

@@ -1,19 +1,19 @@
 """Per-stream sliding-window state for the online scoring engine.
 
 A production stream is unbounded, so per-stream state must be O(window):
-:class:`RingBuffer` keeps the last ``capacity`` points in a fixed numpy
-array with O(1) append and O(1) incremental mean/std (running sum and
-sum-of-squares, corrected on eviction); the engine's per-stream alert
-baseline is a ring of recent scores and reads its threshold from those
-moments.  :class:`StreamState` layers the window/stride cadence on top:
-every ``stride`` points past the first full window it emits a
-:class:`ReadyWindow` carrying the raw values.
+:class:`PointRing` keeps the last ``capacity`` points in a fixed numpy
+array with O(1) append.  :class:`StreamState` layers the window/stride
+cadence on top: every ``stride`` points past the first full window it
+emits a :class:`ReadyWindow` carrying the raw values.  The engine's
+per-stream alert baseline is a :class:`RingBuffer`, a point ring of
+recent scores with O(1) incremental mean/std (running sum and
+sum-of-squares, corrected on eviction); the alert threshold is read
+from those moments.  Float drift from the running sums is bounded by
+refreshing them from the buffer contents every ``_REFRESH_EVERY``
+appends.
 
-Float drift from the running sums is bounded by refreshing them from
-the buffer contents every ``_REFRESH_EVERY`` appends.
-
-Both classes round-trip exactly through ``snapshot()`` /
-``from_snapshot()`` — data, running sums, cursor, append counter, and
+All three classes round-trip exactly through ``snapshot()`` /
+``from_snapshot()`` — data, cursor, running sums, append counter, and
 emission cadence included — so a stream can be frozen on one worker
 and resumed on another with bit-identical subsequent windows (the
 contract the shard fabric's crash recovery rests on).
@@ -25,15 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RingBuffer", "ReadyWindow", "StreamState"]
+__all__ = ["PointRing", "RingBuffer", "ReadyWindow", "StreamState"]
 
 _REFRESH_EVERY = 8192
 
 
-class RingBuffer:
-    """Fixed-capacity float ring buffer with O(1) running moments."""
+class PointRing:
+    """Fixed-capacity float ring buffer of the last ``capacity`` points."""
 
-    __slots__ = ("_data", "_size", "_next", "_sum", "_sumsq", "_appends")
+    __slots__ = ("_data", "_size", "_next")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -41,9 +41,6 @@ class RingBuffer:
         self._data = np.zeros(capacity, dtype=np.float64)
         self._size = 0
         self._next = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-        self._appends = 0
 
     def __len__(self) -> int:
         return self._size
@@ -52,38 +49,28 @@ class RingBuffer:
     def capacity(self) -> int:
         return len(self._data)
 
-    def append(self, value: float) -> None:
-        value = float(value)
+    def append(self, value: float) -> float | None:
+        """Store one point; returns the point it evicted, if any."""
+        evicted = None
         if self._size == len(self._data):
             evicted = self._data[self._next]
-            self._sum -= evicted
-            self._sumsq -= evicted * evicted
         else:
             self._size += 1
         self._data[self._next] = value
         self._next = (self._next + 1) % len(self._data)
-        self._sum += value
-        self._sumsq += value * value
-        self._appends += 1
-        if self._appends % _REFRESH_EVERY == 0:
-            self._refresh()
+        return evicted
 
     def extend(self, values: np.ndarray) -> None:
         """Append a chunk of points in vectorised array operations.
 
         Equivalent to ``for v in values: self.append(v)`` — the buffer
-        contents, cursor, and append counter come out identical; the
-        running sums are rebuilt with vector reductions, so they can
-        differ from the sequential sums by float-association ulps
-        (bounded, like the per-point path, by the periodic refresh).
+        contents and cursor come out identical.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         n = len(values)
         if n == 0:
             return
         cap = len(self._data)
-        before_epoch = self._appends // _REFRESH_EVERY
-        self._appends += n
         if n >= cap:
             # The chunk alone overwrites the whole buffer; land the last
             # ``cap`` values exactly where sequential appends would, so
@@ -94,31 +81,70 @@ class RingBuffer:
             first = cap - start
             self._data[start:] = tail[:first]
             self._data[:start] = tail[first:]
-            self._next = (self._next + n) % cap
-            self._size = cap
-            self._refresh()
-            return
-        evicted = 0.0
-        evicted_sq = 0.0
-        overflow = self._size + n - cap
-        if overflow > 0:
-            # Oldest live values get overwritten: they start at the
-            # cursor when already full, else at index 0 (the buffer
-            # fills, wraps the cursor to 0, and evicts from there).
-            start = self._next if self._size == cap else 0
-            idx = (start + np.arange(overflow)) % cap
-            old = self._data[idx]
-            evicted = float(old.sum())
-            evicted_sq = float((old * old).sum())
-        first = min(n, cap - self._next)
-        self._data[self._next : self._next + first] = values[:first]
-        if first < n:
-            self._data[: n - first] = values[first:]
+        else:
+            first = min(n, cap - self._next)
+            self._data[self._next : self._next + first] = values[:first]
+            if first < n:
+                self._data[: n - first] = values[first:]
         self._next = (self._next + n) % cap
         self._size = min(self._size + n, cap)
-        self._sum += float(values.sum()) - evicted
-        self._sumsq += float((values * values).sum()) - evicted_sq
-        if self._appends // _REFRESH_EVERY != before_epoch:
+
+    def snapshot(self) -> dict:
+        """Exact serializable state: data and cursor."""
+        return {
+            "capacity": len(self._data),
+            "data": self._data.copy(),
+            "size": self._size,
+            "next": self._next,
+        }
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "PointRing":
+        """Rebuild a ring whose future behaviour is bit-identical to
+        the one :meth:`snapshot` captured."""
+        ring = cls(int(snapshot["capacity"]))
+        data = np.asarray(snapshot["data"], dtype=np.float64)
+        if data.shape != ring._data.shape:
+            raise ValueError(
+                f"snapshot data has shape {data.shape}, "
+                f"expected {ring._data.shape}"
+            )
+        ring._data[:] = data
+        ring._size = int(snapshot["size"])
+        ring._next = int(snapshot["next"])
+        return ring
+
+    def view(self) -> np.ndarray:
+        """The buffered points in chronological order (a copy)."""
+        if self._size < len(self._data):
+            return self._data[: self._size].copy()
+        return np.concatenate([self._data[self._next :], self._data[: self._next]])
+
+
+class RingBuffer:
+    """A :class:`PointRing` of values with O(1) running moments."""
+
+    __slots__ = ("_ring", "_sum", "_sumsq", "_appends")
+
+    def __init__(self, capacity: int) -> None:
+        self._ring = PointRing(capacity)
+        self._sum = 0.0
+        self._sumsq = 0.0
+        self._appends = 0
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def append(self, value: float) -> None:
+        value = float(value)
+        evicted = self._ring.append(value)
+        if evicted is not None:
+            self._sum -= evicted
+            self._sumsq -= evicted * evicted
+        self._sum += value
+        self._sumsq += value * value
+        self._appends += 1
+        if self._appends % _REFRESH_EVERY == 0:
             self._refresh()
 
     def _refresh(self) -> None:
@@ -130,10 +156,7 @@ class RingBuffer:
     def snapshot(self) -> dict:
         """Exact serializable state: data, cursor, sums, append counter."""
         return {
-            "capacity": len(self._data),
-            "data": self._data.copy(),
-            "size": self._size,
-            "next": self._next,
+            **self._ring.snapshot(),
             "sum": self._sum,
             "sumsq": self._sumsq,
             "appends": self._appends,
@@ -144,15 +167,7 @@ class RingBuffer:
         """Rebuild a buffer whose future behaviour is bit-identical to
         the one :meth:`snapshot` captured."""
         buffer = cls(int(snapshot["capacity"]))
-        data = np.asarray(snapshot["data"], dtype=np.float64)
-        if data.shape != buffer._data.shape:
-            raise ValueError(
-                f"snapshot data has shape {data.shape}, "
-                f"expected {buffer._data.shape}"
-            )
-        buffer._data[:] = data
-        buffer._size = int(snapshot["size"])
-        buffer._next = int(snapshot["next"])
+        buffer._ring = PointRing.from_snapshot(snapshot)
         buffer._sum = float(snapshot["sum"])
         buffer._sumsq = float(snapshot["sumsq"])
         buffer._appends = int(snapshot["appends"])
@@ -160,20 +175,20 @@ class RingBuffer:
 
     @property
     def mean(self) -> float:
-        return self._sum / self._size if self._size else 0.0
+        size = len(self._ring)
+        return self._sum / size if size else 0.0
 
     @property
     def std(self) -> float:
-        if not self._size:
+        size = len(self._ring)
+        if not size:
             return 0.0
-        variance = self._sumsq / self._size - self.mean**2
+        variance = self._sumsq / size - self.mean**2
         return float(np.sqrt(max(variance, 0.0)))
 
     def view(self) -> np.ndarray:
-        """The buffered points in chronological order (a copy)."""
-        if self._size < len(self._data):
-            return self._data[: self._size].copy()
-        return np.concatenate([self._data[self._next :], self._data[: self._next]])
+        """The buffered values in chronological order (a copy)."""
+        return self._ring.view()
 
 
 @dataclass(frozen=True)
@@ -210,7 +225,7 @@ class StreamState:
         self.stream_id = stream_id
         self.length = length
         self.stride = stride
-        self.buffer = RingBuffer(length)
+        self.buffer = PointRing(length)
         self.count = 0
         self._next_emit = length
 
@@ -258,7 +273,7 @@ class StreamState:
         )
 
     def snapshot(self) -> dict:
-        """Exact serializable state, cadence and ring buffer included."""
+        """Exact serializable state, cadence and point ring included."""
         return {
             "stream_id": self.stream_id,
             "length": self.length,
@@ -277,7 +292,7 @@ class StreamState:
             int(snapshot["length"]),
             int(snapshot["stride"]),
         )
-        state.buffer = RingBuffer.from_snapshot(snapshot["buffer"])
+        state.buffer = PointRing.from_snapshot(snapshot["buffer"])
         state.count = int(snapshot["count"])
         state._next_emit = int(snapshot["next_emit"])
         return state

@@ -240,3 +240,59 @@ class TestGradBufferRecycling:
             x.zero_grad()
             (x * scale).sum().backward()
             assert np.allclose(x.grad, scale)
+
+
+class TestGraphRelease:
+    """backward frees each interior node once its own backward has run:
+    only leaves keep a gradient, and a graph backpropagates once."""
+
+    @staticmethod
+    def _graph():
+        rng = np.random.default_rng(0)
+        x = t(rng.normal(size=(3, 4)))
+        w = t(rng.normal(size=(4, 2)))
+        h = x @ w
+        a = (h * h).tanh()
+        loss = (a + h).sum()
+        return (x, w), [h, a, loss], loss
+
+    def test_interior_nodes_hold_no_grad_closure_or_parents(self):
+        _, interior, loss = self._graph()
+        assert all(node._parents for node in interior)
+        loss.backward()
+        for node in interior:
+            assert node.grad is None
+            assert node._parents == ()
+            assert node._backward.__closure__ is None  # captures no graph
+
+    def test_leaf_grads_match_a_fresh_identical_graph(self):
+        leaves, _, loss = self._graph()
+        loss.backward()
+        fresh_leaves, _, fresh_loss = self._graph()
+        fresh_loss.backward()
+        for leaf, fresh in zip(leaves, fresh_leaves):
+            assert leaf.grad is not None
+            assert np.array_equal(leaf.grad, fresh.grad)
+
+    def test_second_backward_raises_and_leaves_grads_alone(self):
+        leaves, interior, loss = self._graph()
+        loss.backward()
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            interior[0].backward(np.ones((3, 2)))
+        for leaf, grad in zip(leaves, grads):
+            assert np.array_equal(leaf.grad, grad)
+
+    def test_new_graph_through_a_released_node_raises(self):
+        _, interior, loss = self._graph()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            (interior[0] * 2).sum().backward()
+
+    def test_leaf_scalar_backward_repeats(self):
+        x = t(2.0)
+        x.backward()
+        x.backward()
+        assert x.grad == 2.0
