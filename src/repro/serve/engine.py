@@ -8,6 +8,16 @@ streams at once, which is where the throughput over per-stream
 sequential scoring comes from (measured end to end by the
 ``serve_stream`` workload of ``python3 bench/run.py``).
 
+The flush is self-clocked.  Every :meth:`~ScoringEngine.ingest` /
+:meth:`~ScoringEngine.ingest_many` call flushes a micro-batch when the
+queue reaches the batch limit, *or* when the oldest queued window has
+waited at least as long as the engine's last flush took to score.  A
+hot feed fills the batch long before that deadline, so it keeps full
+batches; a paced feed waits about one batch time instead of for a full
+batch.  A fresh engine has no flush time yet and uses the size trigger
+alone until its first flush.  Scores are row-independent and windows are
+judged in arrival order, so batch boundaries never change an alert.
+
 Overload handling is two-layered:
 
 - **admission control** — the pending-window queue is bounded; when it
@@ -39,6 +49,10 @@ from .registry import ModelEntry, ModelRegistry
 from .stream import ReadyWindow, RingBuffer, StreamState
 
 __all__ = ["EngineConfig", "StreamAlert", "StreamSnapshot", "ScoringEngine"]
+
+# The engine's one clock: enqueue times, queue waits and flush times all
+# read it, so tests can freeze or step it by patching this name.
+_clock = time.perf_counter
 
 
 @dataclass(frozen=True)
@@ -164,10 +178,13 @@ class ScoringEngine:
         self.config = config
         self.stats = EngineStats()
         self.latency = Histogram("serve.batch.latency", unit="s")
+        self.queue_wait = Histogram("serve.queue_wait", unit="s")
         self._streams: dict[str, StreamState] = {}
         self._baselines: dict[str, RingBuffer] = {}
-        self._queue: deque[ReadyWindow] = deque()
+        # (enqueue time, window) pairs in arrival order.
+        self._queue: deque[tuple[float, ReadyWindow]] = deque()
         self._batch_limit = config.max_batch
+        self._last_flush_s: float | None = None
         self._last_model: str | None = None
 
     # ------------------------------------------------------------------
@@ -195,9 +212,10 @@ class ScoringEngine:
             )
         self.stats.points_ingested += 1
         ready = state.push(value)
-        if ready is None:
-            return []
-        return self._enqueue(ready)
+        alerts = [] if ready is None else self._enqueue(ready)
+        if self._overdue():
+            alerts.extend(self.flush())
+        return alerts
 
     def _enqueue(self, ready: ReadyWindow) -> list[StreamAlert]:
         if len(self._queue) >= self.config.queue_capacity:
@@ -206,10 +224,22 @@ class ScoringEngine:
             self._queue.popleft()
             self.stats.shed += 1
             obs.incr("serve.windows_shed")
-        self._queue.append(ready)
+        self._queue.append((_clock(), ready))
         if len(self._queue) >= self._batch_limit:
             return self.flush()
         return []
+
+    def _overdue(self) -> bool:
+        """Whether the oldest queued window has waited one flush time.
+
+        Never true before the first flush, nor for a window queued at
+        this very instant (a zero wait is not a wait, even after a flush
+        the clock measured as instant).
+        """
+        if not self._queue or self._last_flush_s is None:
+            return False
+        waited = _clock() - self._queue[0][0]
+        return waited > 0 and waited >= self._last_flush_s
 
     def ingest_many(self, stream_id: str, values) -> list[StreamAlert]:
         """Feed a chunk of points from one stream.
@@ -217,9 +247,11 @@ class ScoringEngine:
         Points are appended via :meth:`~repro.serve.stream.StreamState.
         extend` in slices sized to the next emission boundary, so the
         Python-level work is one loop iteration per *window* instead of
-        per point.  Queueing, shedding, flush cadence, scores, and
-        alerts are identical to feeding the chunk through :meth:`ingest`
-        point by point (gated by ``tests/serve/test_engine.py``).
+        per point.  Queueing, shedding, scores and alerts are identical
+        to feeding the chunk through :meth:`ingest` point by point
+        (gated by ``tests/serve/test_engine.py``).  Batch boundaries
+        may differ under a paced feed: the flush deadline is checked
+        once per call, not once per point.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         if len(values) == 0:
@@ -239,6 +271,8 @@ class ScoringEngine:
             position += take
             if ready is not None:
                 alerts.extend(self._enqueue(ready))
+        if self._overdue():
+            alerts.extend(self.flush())
         return alerts
 
     # ------------------------------------------------------------------
@@ -249,13 +283,18 @@ class ScoringEngine:
         if not self._queue:
             return []
         take = min(len(self._queue), self._batch_limit)
-        batch = [self._queue.popleft() for _ in range(take)]
+        start = _clock()
+        batch = []
+        for _ in range(take):
+            enqueued, ready = self._queue.popleft()
+            self.queue_wait.observe(start - enqueued)
+            batch.append(ready)
         windows = np.stack([ready.window for ready in batch])
 
-        start = time.perf_counter()
         with obs.span("serve.batch", size=take):
             scores, entry = self.registry.score(windows, batch)
-        elapsed = time.perf_counter() - start
+        elapsed = _clock() - start
+        self._last_flush_s = elapsed
 
         if self._last_model is not None and entry.name != self._last_model:
             # Scores are on a model-specific scale: a failover
@@ -377,6 +416,7 @@ class ScoringEngine:
     def report(self) -> dict:
         """JSON-ready snapshot of engine state and lifetime stats."""
         latency = self.latency
+        wait = self.queue_wait
         return {
             "streams": len(self._streams),
             "queue_depth": len(self._queue),
@@ -393,6 +433,11 @@ class ScoringEngine:
                 "p90": latency.quantile(0.9) * 1e3,
                 "p99": latency.quantile(0.99) * 1e3,
                 "mean": latency.mean * 1e3,
+            },
+            "queue_wait_ms": {
+                "p50": wait.quantile(0.5) * 1e3,
+                "p90": wait.quantile(0.9) * 1e3,
+                "p99": wait.quantile(0.99) * 1e3,
             },
             "chain": self.registry.describe(),
         }

@@ -150,18 +150,19 @@ class ReplayReport:
             f"({self.throughput_pps:,.0f} pts/s)",
         ]
         engine = self.engine_report
-        latency = engine.get("latency_ms", {})
         lines.append(
             f"windows scored : {engine.get('windows_scored', 0)} in "
             f"{engine.get('batches', 0)} batch(es), shed {engine.get('shed', 0)}"
         )
-        if latency:
-            lines.append(
-                "batch latency  : "
-                f"p50 {latency.get('p50', 0.0):.2f}ms  "
-                f"p90 {latency.get('p90', 0.0):.2f}ms  "
-                f"p99 {latency.get('p99', 0.0):.2f}ms"
-            )
+        for label, key in (("batch latency", "latency_ms"), ("queue wait", "queue_wait_ms")):
+            quantiles = engine.get(key, {})
+            if quantiles:
+                lines.append(
+                    f"{label:<15}: "
+                    f"p50 {quantiles.get('p50', 0.0):.2f}ms  "
+                    f"p90 {quantiles.get('p90', 0.0):.2f}ms  "
+                    f"p99 {quantiles.get('p99', 0.0):.2f}ms"
+                )
         models = ", ".join(engine.get("models_used", [])) or "none"
         lines.append(
             f"models used    : {models} "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.serve import engine as engine_module
 from repro.serve.engine import EngineConfig, ScoringEngine
 from repro.serve.registry import ModelRegistry, WindowScorer
 from repro.serve.replay import FailAfter
@@ -33,6 +34,48 @@ class FailingScorer(WindowScorer):
 
     def score_windows(self, windows, batch):
         raise RuntimeError("down")
+
+
+class FakeClock:
+    """The engine's clock, frozen until a test or a scorer moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(engine_module, "_clock", fake)
+    return fake
+
+
+class TimedScorer(RecordingScorer):
+    """A :class:`RecordingScorer` whose every batch takes ``cost`` on the
+    fake clock."""
+
+    def __init__(self, clock, cost):
+        super().__init__()
+        self.clock = clock
+        self.cost = cost
+
+    def score_windows(self, windows, batch):
+        self.clock.now += self.cost
+        return super().score_windows(windows, batch)
+
+
+def emitted(engine):
+    return engine.queue_depth + engine.stats.windows_scored + engine.stats.shed
+
+
+def feed_one_window(engine):
+    """Feed stream ``s`` points one at a time until it emits a window."""
+    before = emitted(engine)
+    while emitted(engine) == before:
+        engine.ingest("s", 0.0)
 
 
 def make_engine(scorer, **config_kwargs):
@@ -68,6 +111,88 @@ class TestMicroBatching:
         expected = 1 + (150 - 16) // 4  # first full window, then every stride
         assert engine.stats.windows_scored == expected
         assert engine.stats.shed == 0
+
+
+class TestSelfClockedFlush:
+    """A queued window waits at most one flush time (see the module
+    docstring); the clock is the fake one, so every boundary is exact."""
+
+    @pytest.mark.parametrize("call", ["ingest", "ingest_many"])
+    def test_window_is_scored_once_it_waited_one_flush_time(self, clock, call):
+        scorer = TimedScorer(clock, cost=0.5)
+        engine, _ = make_engine(scorer, max_batch=8)
+        while not scorer.batches:  # the first flush: a full batch, 0.5 s
+            engine.ingest("s", 0.0)
+        assert len(scorer.batches[0]) == 8
+        assert engine.queue_depth == 0
+
+        clock.now = 10.0
+        feed_one_window(engine)
+        assert engine.queue_depth == 1
+
+        feed = getattr(engine, call)
+        point = 0.0 if call == "ingest" else np.zeros(1)
+        clock.now = 10.25
+        feed("s", point)  # waited 0.25 s < 0.5 s: keep waiting
+        assert len(scorer.batches) == 1 and engine.queue_depth == 1
+        clock.now = 10.5
+        feed("s", point)  # waited exactly one flush time
+        assert engine.queue_depth == 0
+        assert [len(batch) for batch in scorer.batches] == [8, 1]
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 32])
+    def test_frozen_clock_forms_full_batches(self, clock, rng, chunk):
+        scorer = TimedScorer(clock, cost=0.0)
+        engine, _ = make_engine(scorer, max_batch=8)
+        feed = {f"s{i}": rng.normal(size=200) for i in range(4)}
+        for stream, values in feed.items():
+            if chunk is None:
+                for value in values:
+                    engine.ingest(stream, float(value))
+            else:
+                for start in range(0, len(values), chunk):
+                    engine.ingest_many(stream, values[start:start + chunk])
+        sizes = [len(batch) for batch in scorer.batches]
+        assert len(sizes) > 2 and set(sizes) == {8}
+        engine.drain()
+        assert engine.stats.windows_scored == 4 * (1 + (200 - 16) // 4)
+
+    def test_fresh_engine_uses_the_size_trigger_alone(self, clock):
+        scorer = TimedScorer(clock, cost=0.5)
+        engine, _ = make_engine(scorer, max_batch=8)
+        for step in range(7):
+            clock.now = 100.0 * step  # ages far beyond any flush time
+            feed_one_window(engine)
+        engine.ingest("s", 0.0)
+        assert scorer.batches == [] and engine.queue_depth == 7
+        feed_one_window(engine)  # the eighth window fills the batch
+        assert [len(batch) for batch in scorer.batches] == [8]
+
+        # With a flush time measured, the deadline applies.
+        clock.now = 1000.0
+        feed_one_window(engine)
+        clock.now = 1000.5
+        engine.ingest("s", 0.0)
+        assert [len(batch) for batch in scorer.batches] == [8, 1]
+
+    def test_shedding_keeps_enqueue_times_aligned(self, clock):
+        scorer = TimedScorer(clock, cost=4.0)
+        engine, _ = make_engine(scorer, max_batch=64, queue_capacity=4)
+        feed_one_window(engine)
+        engine.drain()  # the first flush: 4 s
+        scorer.batches.clear()
+
+        for now in (10.0, 11.0, 12.0, 13.0, 13.5, 13.75):
+            clock.now = now
+            feed_one_window(engine)
+        # Windows queued at 10 and 11 were shed; the oldest left is 12's.
+        assert engine.stats.shed == 2 and engine.queue_depth == 4
+        clock.now = 15.5  # 10's window would be 5.5 s old; 12's is 3.5
+        engine.ingest("s", 0.0)
+        assert scorer.batches == []
+        clock.now = 16.0
+        engine.ingest("s", 0.0)
+        assert [len(batch) for batch in scorer.batches] == [4]
 
 
 class TestAlerting:
@@ -116,10 +241,10 @@ class TestAlerting:
 
 
 class TestAdmissionControl:
-    def test_oldest_windows_are_shed_at_capacity(self, rng):
+    def test_oldest_windows_are_shed_at_capacity(self, rng, clock):
         scorer = RecordingScorer()
-        # max_batch larger than capacity: flush never triggers during
-        # ingestion, so the queue must shed to stay bounded.
+        # max_batch larger than capacity and the clock frozen: flush never
+        # triggers during ingestion, so the queue must shed to stay bounded.
         engine, _ = make_engine(scorer, max_batch=64, queue_capacity=4)
         for value in rng.normal(size=200):
             engine.ingest("s", float(value))
@@ -209,7 +334,20 @@ class TestReport:
         assert report["streams"] == 1
         assert report["windows_scored"] > 0
         assert report["latency_ms"]["p50"] >= 0.0
+        assert set(report["queue_wait_ms"]) == {"p50", "p90", "p99"}
+        assert engine.queue_wait.count == report["windows_scored"]
         assert report["chain"][0]["model"] == "recorder"
+
+    def test_queue_wait_runs_from_enqueue_to_flush_start(self, clock):
+        engine, _ = make_engine(TimedScorer(clock, cost=0.5), max_batch=8)
+        for now in (1.0, 2.0, 3.0):
+            clock.now = now
+            feed_one_window(engine)
+        clock.now = 5.0
+        engine.drain()  # the 0.5 s flush itself is not waiting
+        assert engine.report()["queue_wait_ms"] == {
+            "p50": 3000.0, "p90": 4000.0, "p99": 4000.0,
+        }
 
 
 class ScaledScorer(WindowScorer):

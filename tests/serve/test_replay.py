@@ -66,6 +66,7 @@ class TestTrainingFreeReplay:
         rendered = report.render()
         assert "replayed" in rendered
         assert "anomaly" in rendered
+        assert "queue wait" in rendered
 
     def test_streams_must_be_positive(self, unit):
         registry = build_registry(train_series=unit.train)
@@ -120,27 +121,51 @@ class TestFailoverDrill:
         )
 
 
-class TestTriADReplay:
-    def test_trained_primary_detects(self, unit):
-        from repro import TriAD, TriADConfig
+@pytest.fixture(scope="module")
+def triad(unit):
+    from repro import TriAD, TriADConfig
 
-        detector = TriAD(
-            TriADConfig(depth=2, hidden_dim=8, epochs=1, seed=1, max_window=256)
-        ).fit(unit.train)
-        registry = build_registry(detector, train_series=unit.train)
-        # The deliberately tiny encoder separates this unit at ~4.4 sigma
-        # (vs ~2.6 for the worst normal window), so alert at 3 sigma.
-        engine = ScoringEngine(
-            registry,
-            EngineConfig(
-                window_length=detector.plan.length,
-                stride=detector.plan.stride,
-                alert_sigma=3.0,
-            ),
-        )
-        report = replay_dataset(unit, engine, streams=2)
+    return TriAD(
+        TriADConfig(depth=2, hidden_dim=8, epochs=1, seed=1, max_window=256)
+    ).fit(unit.train)
+
+
+def triad_engine(detector, unit, **config):
+    # The deliberately tiny encoder separates this unit at ~4.4 sigma
+    # (vs ~2.6 for the worst normal window), so alert at 3 sigma.
+    return ScoringEngine(
+        build_registry(detector, train_series=unit.train),
+        EngineConfig(
+            window_length=detector.plan.length,
+            stride=detector.plan.stride,
+            alert_sigma=3.0,
+            **config,
+        ),
+    )
+
+
+class TestTriADReplay:
+    def test_trained_primary_detects(self, unit, triad):
+        report = replay_dataset(unit, triad_engine(triad, unit), streams=2)
         assert report.engine_report["models_used"] == ["triad-encoder"]
         assert report.detected
+
+    def test_alerts_do_not_depend_on_batch_boundaries(self, unit, triad):
+        """The flush rule may cut a feed into batches of any size; a
+        window's score, and so every alert, must not depend on its batch."""
+        alerts, batches = {}, {}
+        for max_batch in (64, 1):
+            engine = triad_engine(triad, unit, max_batch=max_batch)
+            report = replay_dataset(unit, engine, streams=2)
+            assert report.engine_report["models_used"] == ["triad-encoder"]
+            batches[max_batch] = engine.stats.batches
+            alerts[max_batch] = [
+                (a.stream_id, a.index, a.score, a.threshold, a.model)
+                for a in report.alerts
+            ]
+        assert batches[64] < batches[1], "the max_batch=64 feed never batched"
+        assert alerts[1] == alerts[64]
+        assert alerts[64], "no alert to compare"
 
 
 class TestServeReplayCLI:
