@@ -86,6 +86,8 @@ class TriAD:
         self._pipeline = pipeline if pipeline is not None else default_pipeline()
         self._result: TrainResult | None = None
         self._train_series: np.ndarray | None = None
+        # train_representations() per stride, for the fitted encoder.
+        self._train_reps: dict[int, dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Training
@@ -95,6 +97,7 @@ class TriAD:
         self._train_series = ensure_series(
             train_series, "train_series", min_length=4 * self.config.min_window
         )
+        self._train_reps = {}
         self._result = train_encoder(
             self._train_series, self.config, pipeline=self._pipeline
         )
@@ -133,6 +136,18 @@ class TriAD:
         return self._pipeline.windows(
             self._train_series, plan.length, stride or plan.stride
         )
+
+    def train_representations(self, stride: int | None = None) -> dict[str, np.ndarray]:
+        """:meth:`representations` of :meth:`train_windows` at ``stride``
+        (the plan stride when omitted), computed once per stride for the
+        fitted encoder and dropped by :meth:`fit`.  Every scorer built on
+        this detector shares them, so treat them as read-only."""
+        stride = stride or self.plan.stride
+        reps = self._train_reps.get(stride)
+        if reps is None:
+            windows, _ = self.train_windows(stride)
+            reps = self._train_reps[stride] = self.representations(windows, cached=True)
+        return reps
 
     def _fitted(self) -> TrainResult:
         if self._result is None:

@@ -34,19 +34,16 @@ __all__ = [
 class TriADWindowScorer(WindowScorer):
     """Scores windows by representation-space distance to training data.
 
-    At construction every training window is encoded once per domain;
-    at serve time the whole cross-stream batch goes through one batched
-    encoder forward per domain (in the row tiles of
+    The training windows' representations come from
+    :meth:`repro.core.TriAD.train_representations`, which encodes them
+    once per fitted detector and stride, however many scorers are built
+    on it.  At serve time the whole cross-stream batch goes through one
+    batched encoder forward per domain (in the row tiles of
     :meth:`repro.core.TriAD.representations`) and each window's score is
     its mean (over domains) nearest-neighbour distance to the training
     representations — the online analogue of TriAD's stage-2
     single-window selection.  Scores are row-independent in bits: a
     window scores the same in a batch of any size.
-
-    Training windows come from the public
-    :meth:`repro.core.TriAD.train_windows` accessor, which shares the
-    feature pipeline's window cache with the trainer — no private-state
-    reach, no re-windowing.
     """
 
     name = "triad-encoder"
@@ -55,9 +52,7 @@ class TriADWindowScorer(WindowScorer):
         plan = detector.plan  # raises RuntimeError if not fit — fail at build time
         self._detector = detector
         self.window_length = int(plan.length)
-        stride = train_stride or plan.stride
-        train_windows, _ = detector.train_windows(stride=stride)
-        self._train_reps = detector.representations(train_windows, cached=True)
+        self._train_reps = detector.train_representations(train_stride or plan.stride)
         self._train_norms = {
             d: (r**2).sum(axis=1) for d, r in self._train_reps.items()
         }

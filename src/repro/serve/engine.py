@@ -10,13 +10,28 @@ sequential scoring comes from (measured end to end by the
 
 The flush is self-clocked.  Every :meth:`~ScoringEngine.ingest` /
 :meth:`~ScoringEngine.ingest_many` call flushes a micro-batch when the
-queue reaches the batch limit, *or* when the oldest queued window has
-waited at least as long as the engine's last flush took to score.  A
-hot feed fills the batch long before that deadline, so it keeps full
-batches; a paced feed waits about one batch time instead of for a full
-batch.  A fresh engine has no flush time yet and uses the size trigger
-alone until its first flush.  Scores are row-independent and windows are
-judged in arrival order, so batch boundaries never change an alert.
+queue reaches the batch limit (trigger ``size``), or, at the end of the
+call, when the oldest queued window would pass one flush time before
+the next call is likely: ``waited + idle >= last flush time``.
+``waited`` is the oldest window's age, ``idle`` a running average
+(weight 1/8) of the caller's idle time between calls, from the end of
+one call to the start of the next, and the flush time is the engine's
+last measured one.  The trigger is ``deadline`` when the window has
+waited a flush time on its own and ``idle`` when the expected idle time
+completes it.  So a window waits at most about one flush time, and a
+paced feed whose idle time exceeds a flush gets each window scored in
+the call that queued it.  A hot feed has almost no idle time and fills
+the batch long before the deadline, so it keeps full batches; a blocked
+caller, whose every call waits on a flush, has none either, so a feed
+that outruns the engine still batches.  A fresh engine has no flush
+time yet and uses the size trigger alone until its first flush.  This
+bookkeeping reads the clock once per call (a flush reads it to time
+itself): a call's end is the later of its start and its flush's end,
+and windows queued in a call take that time.
+:meth:`~ScoringEngine.flush` and :meth:`~ScoringEngine.drain` flush on
+demand (trigger ``drain``); ``serve.flush.<trigger>`` counts each kind.
+Scores are row-independent and windows are judged in arrival order, so
+batch boundaries never change an alert.
 
 Overload handling is two-layered:
 
@@ -53,6 +68,10 @@ __all__ = ["EngineConfig", "StreamAlert", "StreamSnapshot", "ScoringEngine"]
 # The engine's one clock: enqueue times, queue waits and flush times all
 # read it, so tests can freeze or step it by patching this name.
 _clock = time.perf_counter
+
+#: Weight of each new sample in the running average of the caller's idle
+#: time between calls.
+IDLE_WEIGHT = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -158,6 +177,7 @@ class EngineStats:
     shed: int = 0
     fallback_batches: int = 0
     models_used: set = field(default_factory=set)
+    flush_triggers: dict = field(default_factory=dict)  # trigger -> flushes
 
 
 class ScoringEngine:
@@ -185,6 +205,10 @@ class ScoringEngine:
         self._queue: deque[tuple[float, ReadyWindow]] = deque()
         self._batch_limit = config.max_batch
         self._last_flush_s: float | None = None
+        # The end of the last call or flush (None before the first), and
+        # the running average of the caller's idle time between calls.
+        self._mark: float | None = None
+        self._idle_s = 0.0
         self._last_model: str | None = None
 
     # ------------------------------------------------------------------
@@ -211,11 +235,21 @@ class ScoringEngine:
                 stream_id, self.config.window_length, self.config.stride
             )
         self.stats.points_ingested += 1
+        self._start_call()
         ready = state.push(value)
         alerts = [] if ready is None else self._enqueue(ready)
-        if self._overdue():
-            alerts.extend(self.flush())
+        trigger = self._due()
+        if trigger is not None:
+            alerts.extend(self._flush(trigger))
         return alerts
+
+    def _start_call(self) -> None:
+        """The call's one clock read: fold the idle time since the last
+        call's end into the running average and mark the call's start."""
+        now = _clock()
+        if self._mark is not None:
+            self._idle_s += (now - self._mark - self._idle_s) * IDLE_WEIGHT
+        self._mark = now
 
     def _enqueue(self, ready: ReadyWindow) -> list[StreamAlert]:
         if len(self._queue) >= self.config.queue_capacity:
@@ -224,22 +258,28 @@ class ScoringEngine:
             self._queue.popleft()
             self.stats.shed += 1
             obs.incr("serve.windows_shed")
-        self._queue.append((_clock(), ready))
+        self._queue.append((self._mark, ready))
         if len(self._queue) >= self._batch_limit:
-            return self.flush()
+            return self._flush("size")
         return []
 
-    def _overdue(self) -> bool:
-        """Whether the oldest queued window has waited one flush time.
+    def _due(self) -> str | None:
+        """The trigger of an end-of-call flush, or ``None`` to wait.
 
-        Never true before the first flush, nor for a window queued at
-        this very instant (a zero wait is not a wait, even after a flush
-        the clock measured as instant).
+        ``deadline`` once the oldest queued window has waited one flush
+        time, ``idle`` once it would before the next call is likely.
+        Never before the first flush, nor on a zero wait with no idle
+        time (a frozen clock, or a flush the clock measured as instant).
         """
         if not self._queue or self._last_flush_s is None:
-            return False
-        waited = _clock() - self._queue[0][0]
-        return waited > 0 and waited >= self._last_flush_s
+            return None
+        waited = self._mark - self._queue[0][0]
+        if waited > 0 and waited >= self._last_flush_s:
+            return "deadline"
+        expected = waited + self._idle_s
+        if expected > 0 and expected >= self._last_flush_s:
+            return "idle"
+        return None
 
     def ingest_many(self, stream_id: str, values) -> list[StreamAlert]:
         """Feed a chunk of points from one stream.
@@ -250,8 +290,8 @@ class ScoringEngine:
         per point.  Queueing, shedding, scores and alerts are identical
         to feeding the chunk through :meth:`ingest` point by point
         (gated by ``tests/serve/test_engine.py``).  Batch boundaries
-        may differ under a paced feed: the flush deadline is checked
-        once per call, not once per point.
+        may differ under a paced feed: the end-of-call flush rule is
+        checked once per call, not once per point.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         if len(values) == 0:
@@ -265,14 +305,16 @@ class ScoringEngine:
         alerts: list[StreamAlert] = []
         position = 0
         total = len(values)
+        self._start_call()
         while position < total:
             take = min(total - position, state.until_next_emit)
             ready = state.extend(values[position : position + take])
             position += take
             if ready is not None:
                 alerts.extend(self._enqueue(ready))
-        if self._overdue():
-            alerts.extend(self.flush())
+        trigger = self._due()
+        if trigger is not None:
+            alerts.extend(self._flush(trigger))
         return alerts
 
     # ------------------------------------------------------------------
@@ -280,6 +322,9 @@ class ScoringEngine:
     # ------------------------------------------------------------------
     def flush(self) -> list[StreamAlert]:
         """Score one micro-batch from the queue (up to the batch limit)."""
+        return self._flush("drain")
+
+    def _flush(self, trigger: str) -> list[StreamAlert]:
         if not self._queue:
             return []
         take = min(len(self._queue), self._batch_limit)
@@ -308,6 +353,9 @@ class ScoringEngine:
         self.stats.batches += 1
         self.stats.windows_scored += take
         self.stats.models_used.add(entry.name)
+        triggers = self.stats.flush_triggers
+        triggers[trigger] = triggers.get(trigger, 0) + 1
+        obs.incr(f"serve.flush.{trigger}")
         if entry is not self.registry.entries[0]:
             self.stats.fallback_batches += 1
         obs.incr("serve.windows_scored", take)
@@ -323,13 +371,14 @@ class ScoringEngine:
         if alerts:
             self.stats.alerts += len(alerts)
             obs.incr("serve.alerts", len(alerts))
+        self._mark = _clock()  # judging is the flush's work, not idle time
         return alerts
 
     def drain(self) -> list[StreamAlert]:
         """Flush until the queue is empty (end of stream / shutdown)."""
         alerts: list[StreamAlert] = []
         while self._queue:
-            alerts.extend(self.flush())
+            alerts.extend(self._flush("drain"))
         return alerts
 
     # ------------------------------------------------------------------
@@ -428,6 +477,7 @@ class ScoringEngine:
             "shed": self.stats.shed,
             "fallback_batches": self.stats.fallback_batches,
             "models_used": sorted(self.stats.models_used),
+            "flush_triggers": dict(sorted(self.stats.flush_triggers.items())),
             "latency_ms": {
                 "p50": latency.quantile(0.5) * 1e3,
                 "p90": latency.quantile(0.9) * 1e3,

@@ -90,13 +90,14 @@ def residual_component(x: np.ndarray, period: int) -> np.ndarray:
 def residual_components(windows: np.ndarray, period: int) -> np.ndarray:
     """Batched :func:`residual_component` over ``(batch, length)`` windows.
 
-    Bit-identical to stacking per-window calls (the feature-cache tests
-    assert exact equality): the trend still goes through the same
-    per-row ``np.convolve``, and every reduction (per-phase means,
-    centering, z-normalization) runs along contiguous rows so NumPy's
-    pairwise summation visits elements in the same order as the 1-D
-    path.  Only the Python-level per-window and per-phase loop overhead
-    is amortized across the batch — the hot path of tri-domain feature
+    Bit-identical to stacking per-window calls, so a window's features
+    do not depend on its batch (the feature-cache tests assert exact
+    equality): the trend still goes through the same per-row
+    ``np.convolve``, and every reduction (per-phase means, centering,
+    z-normalization) runs along contiguous rows so NumPy's pairwise
+    summation visits elements in the same order as the 1-D path.  Only
+    the Python-level per-window and per-phase loop overhead is
+    amortized across the batch — the hot path of tri-domain feature
     extraction (~90% of :func:`repro.pipeline.extract_all_domains`).
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
@@ -115,19 +116,15 @@ def residual_components(windows: np.ndarray, period: int) -> np.ndarray:
         trend = np.empty_like(windows)
         for row, padded_row in zip(trend, padded):
             row[:] = np.convolve(padded_row, kernel, mode="valid")
+        del padded  # freed before the per-phase means gather a copy
     detrended = windows - trend
 
     if period == 1:
         seasonal = np.zeros_like(windows)
     else:
-        phases = np.arange(length) % period
-        profile = np.zeros((batch, period))
-        for phase in range(period):
-            columns = detrended[:, phases == phase]
-            if columns.shape[1]:
-                profile[:, phase] = columns.mean(axis=1)
+        profile = _phase_means(detrended, period)
         profile -= profile.mean(axis=1, keepdims=True)
-        seasonal = profile[:, phases]
+        seasonal = profile[:, np.arange(length) % period]
 
     residual = windows - trend - seasonal
     std = residual.std(axis=1)
@@ -137,3 +134,28 @@ def residual_components(windows: np.ndarray, period: int) -> np.ndarray:
     if live.any():
         out[live] = (residual[live] - mean[live, None]) / std[live, None]
     return out
+
+
+def _phase_means(detrended: np.ndarray, period: int) -> np.ndarray:
+    """``(batch, period)`` per-phase means of ``(batch, length)`` rows,
+    0 for a phase with no sample.
+
+    One gather lays each row out phase by phase, so each phase's
+    samples are one contiguous run in their original order; the
+    ``length % period`` leading phases hold one sample more than the
+    rest, so each group reshapes to ``(batch, phases, samples)`` and is
+    averaged along its last axis: the same pairwise sums over the same
+    element order as averaging each phase's samples on their own,
+    without a Python loop over phases.
+    """
+    batch, length = detrended.shape
+    full, extra = divmod(length, period)
+    order = np.argsort(np.arange(length) % period, kind="stable")
+    by_phase = np.take(detrended, order, axis=1)
+    split = extra * (full + 1)
+    profile = np.zeros((batch, period))
+    if extra:
+        profile[:, :extra] = by_phase[:, :split].reshape(batch, extra, full + 1).mean(axis=2)
+    if full:
+        profile[:, extra:] = by_phase[:, split:].reshape(batch, period - extra, full).mean(axis=2)
+    return profile

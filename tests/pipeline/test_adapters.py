@@ -82,6 +82,55 @@ class TestFromTriad:
             TriAD().train_windows()
 
 
+class TestTrainRepresentations:
+    """A fitted detector encodes its training windows once per stride,
+    however many scorers are built on it; ``fit`` drops them."""
+
+    def test_scorers_share_one_encoding_per_stride(self, fitted_triad, monkeypatch):
+        t = np.arange(600)
+        series = np.sin(2 * np.pi * t / 32) + 0.03 * np.cos(2 * np.pi * t / 7)
+        detector = TriAD(fitted_triad.config).fit(series)
+        encoded = []
+        representations = TriAD.representations
+
+        def counting(self, windows, cached=False):
+            encoded.append(len(windows))
+            return representations(self, windows, cached=cached)
+
+        monkeypatch.setattr(TriAD, "representations", counting)
+        first = from_triad(detector)
+        second = from_triad(detector)
+        assert len(encoded) == 1
+        from_triad(detector, train_stride=3)
+        assert len(encoded) == 2
+        assert first._train_reps is second._train_reps
+
+        windows, _ = detector.train_windows(detector.plan.stride)
+        fresh = representations(detector, windows, cached=True)
+        for domain, r in fresh.items():
+            assert r.tobytes() == first._train_reps[domain].tobytes()
+        test = np.sin(2 * np.pi * np.arange(200) / 32)
+        test_windows, _ = detector.pipeline.windows(test, detector.plan.length, 8)
+        assert (
+            first.score_windows(test_windows, ()).tobytes()
+            == second.score_windows(test_windows, ()).tobytes()
+        )
+
+    def test_fit_drops_them(self, fitted_triad):
+        t = np.arange(600)
+        detector = TriAD(fitted_triad.config).fit(np.sin(2 * np.pi * t / 32))
+        before = detector.train_representations()
+        assert detector.train_representations() is before
+        plan = detector.plan
+        detector.fit(np.sin(2 * np.pi * t / 32 + 1.0))  # the same plan
+        assert detector.plan == plan
+        after = detector.train_representations()
+        assert after is not before
+        windows, _ = detector.train_windows()
+        for domain, r in detector.representations(windows).items():
+            assert r.tobytes() == after[domain].tobytes()
+
+
 class TestFromBaseline:
     def test_window_score_is_the_peak_point_score(self):
         train = np.sin(2 * np.pi * np.arange(400) / 25)

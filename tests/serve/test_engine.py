@@ -114,8 +114,9 @@ class TestMicroBatching:
 
 
 class TestSelfClockedFlush:
-    """A queued window waits at most one flush time (see the module
-    docstring); the clock is the fake one, so every boundary is exact."""
+    """A queued window is scored once its wait plus the caller's expected
+    idle time reaches one flush time (see the module docstring); the
+    clock is the fake one, so every boundary is exact."""
 
     @pytest.mark.parametrize("call", ["ingest", "ingest_many"])
     def test_window_is_scored_once_it_waited_one_flush_time(self, clock, call):
@@ -126,19 +127,125 @@ class TestSelfClockedFlush:
         assert len(scorer.batches[0]) == 8
         assert engine.queue_depth == 0
 
-        clock.now = 10.0
-        feed_one_window(engine)
+        # The clock has stood still between calls: no idle time yet.
+        feed_one_window(engine)  # queued at 0.5, as the flush ended
         assert engine.queue_depth == 1
-
         feed = getattr(engine, call)
         point = 0.0 if call == "ingest" else np.zeros(1)
-        clock.now = 10.25
-        feed("s", point)  # waited 0.25 s < 0.5 s: keep waiting
+        clock.now = 0.75
+        feed("s", point)  # waited 0.25 + idle 0.25 / 8 < 0.5: wait
+        clock.now = 0.9
+        feed("s", point)  # waited 0.4 + idle 0.046 < 0.5: wait
         assert len(scorer.batches) == 1 and engine.queue_depth == 1
-        clock.now = 10.5
+        clock.now = 0.96
+        feed("s", point)  # waited 0.46 + idle 0.048 >= 0.5: the next call is late
+        assert engine.queue_depth == 0
+        assert engine.report()["flush_triggers"] == {"idle": 1, "size": 1}
+
+        # Idle time completes the next wait too; the one after that
+        # reaches the flush time itself, which the deadline names first.
+        feed_one_window(engine)  # queued at 1.46, as the flush ended
+        clock.now = 1.9
+        feed("s", point)  # waited 0.44 + idle 0.08 >= 0.5
+        assert engine.queue_depth == 0
+        feed_one_window(engine)  # queued at 2.4
+        clock.now = 2.9
         feed("s", point)  # waited exactly one flush time
         assert engine.queue_depth == 0
-        assert [len(batch) for batch in scorer.batches] == [8, 1]
+        assert [len(batch) for batch in scorer.batches] == [8, 1, 1, 1]
+        assert engine.report()["flush_triggers"] == {"deadline": 1, "idle": 2, "size": 1}
+
+    @pytest.mark.parametrize("call", ["ingest", "ingest_many"])
+    def test_paced_feed_is_scored_in_the_call_that_queued_it(self, clock, call):
+        """A call a second, a flush a quarter of that: once the fresh
+        engine's first full batch has measured a flush, every window is
+        scored by the call that queued it."""
+        scorer = TimedScorer(clock, cost=0.25)
+        engine, _ = make_engine(scorer, max_batch=8)
+        feed = getattr(engine, call)
+        point = 0.0 if call == "ingest" else np.zeros(4)
+        for step in range(200):
+            clock.now = max(clock.now, float(step))
+            queued = emitted(engine)
+            feed("s", point)
+            if len(scorer.batches) > 1 or (scorer.batches and emitted(engine) > queued):
+                assert engine.queue_depth == 0, step
+        sizes = [len(batch) for batch in scorer.batches]
+        assert sizes[0] == 8 and len(sizes) > 20 and set(sizes[1:]) == {1}
+        assert engine.report()["flush_triggers"] == {"idle": len(sizes) - 1, "size": 1}
+
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_hot_feed_forms_full_batches(self, clock, rng, chunk):
+        """The caller is back within a microsecond; a flush takes 10 ms."""
+        scorer = TimedScorer(clock, cost=0.01)
+        engine, _ = make_engine(scorer, max_batch=8)
+        values = rng.normal(size=400)
+        for start in range(0, len(values), chunk or 1):
+            for stream in ("s0", "s1", "s2", "s3"):
+                clock.now += 1e-6
+                if chunk is None:
+                    engine.ingest(stream, float(values[start]))
+                else:
+                    engine.ingest_many(stream, values[start:start + chunk])
+        sizes = [len(batch) for batch in scorer.batches]
+        assert len(sizes) > 10 and set(sizes) == {8}
+        assert engine.report()["flush_triggers"] == {"size": len(sizes)}
+
+    @staticmethod
+    def blocked_feed(clock, calls=300):
+        """An open loop a window a second whose flushes cost 1.5 s + 0.1 s
+        per window, so one window's flush outlasts the call interval: a
+        call due while a flush runs starts as soon as the flush ends.
+        Returns the batch sizes."""
+        scorer = TimedScorer(clock, cost=0.0)
+
+        def score_windows(windows, batch):
+            clock.now += 1.5 + 0.1 * len(batch)
+            return RecordingScorer.score_windows(scorer, windows, batch)
+
+        scorer.score_windows = score_windows
+        engine, _ = make_engine(scorer, max_batch=64)
+        for step in range(calls):
+            clock.now = max(clock.now, float(step))
+            engine.ingest_many("s", np.zeros(4))
+        return [len(batch) for batch in scorer.batches]
+
+    def test_blocked_caller_batches_no_smaller_than_the_deadline_rule(
+        self, clock, monkeypatch
+    ):
+        """A blocked caller has no idle time, so it converges to the
+        batches of the deadline rule alone, and well past one window
+        per flush (where averaging the time between call starts would
+        stay: once every call flushes, that time is the flush time)."""
+        idle_rule = self.blocked_feed(clock)
+        monkeypatch.setattr(engine_module, "IDLE_WEIGHT", 0.0)
+        clock.now = 0.0
+        deadline_rule = self.blocked_feed(clock)
+        tail = slice(-20, None)
+        assert min(idle_rule[tail]) >= min(deadline_rule[tail]) > 1
+        assert np.mean(idle_rule[tail]) >= np.mean(deadline_rule[tail])
+
+    def test_one_clock_read_per_call(self, clock, rng, monkeypatch):
+        """A call that flushes nothing reads the clock once, whether it
+        queues a window or not."""
+        scorer = TimedScorer(clock, cost=0.5)
+        engine, _ = make_engine(scorer, max_batch=8)
+        reads = []
+
+        def counting():
+            reads.append(clock.now)
+            return clock()
+
+        monkeypatch.setattr(engine_module, "_clock", counting)
+        for value in rng.normal(size=40):  # 7 windows: the size trigger never fires
+            before = len(reads)
+            engine.ingest("s", float(value))
+            assert len(reads) - before == 1
+        assert engine.queue_depth == 7 and not scorer.batches
+        engine.drain()
+        before = len(reads)
+        engine.ingest_many("s", rng.normal(size=7))
+        assert len(reads) - before == 1
 
     @pytest.mark.parametrize("chunk", [None, 1, 7, 32])
     def test_frozen_clock_forms_full_batches(self, clock, rng, chunk):
@@ -335,8 +442,32 @@ class TestReport:
         assert report["windows_scored"] > 0
         assert report["latency_ms"]["p50"] >= 0.0
         assert set(report["queue_wait_ms"]) == {"p50", "p90", "p99"}
+        assert sum(report["flush_triggers"].values()) == report["batches"]
         assert engine.queue_wait.count == report["windows_scored"]
         assert report["chain"][0]["model"] == "recorder"
+
+    def test_flush_triggers_are_counted(self, clock):
+        from repro import obs
+
+        engine, _ = make_engine(TimedScorer(clock, cost=0.5), max_batch=8)
+        with obs.observed() as session:
+            feed_one_window(engine)
+            engine.drain()  # drain
+            feed_one_window(engine)
+            clock.now += 0.5
+            engine.ingest("s", 0.0)  # deadline
+            while engine.stats.batches == 2:
+                engine.ingest("s", 0.0)  # size: the clock stands still
+            clock.now += 10.0
+            feed_one_window(engine)  # idle: the caller was away 10 s
+        triggers = {"deadline": 1, "drain": 1, "idle": 1, "size": 1}
+        assert engine.report()["flush_triggers"] == triggers
+        counters = session.metrics.counters
+        assert {
+            name.split(".")[-1]: counter.value
+            for name, counter in counters.items()
+            if name.startswith("serve.flush.")
+        } == triggers
 
     def test_queue_wait_runs_from_enqueue_to_flush_start(self, clock):
         engine, _ = make_engine(TimedScorer(clock, cost=0.5), max_batch=8)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.signal import decompose, moving_average, residual_component
+from repro.signal.decompose import residual_components
 
 
 class TestMovingAverage:
@@ -74,3 +77,69 @@ class TestResidualComponent:
         inside = np.abs(r[500:520]).mean()
         outside = np.abs(np.concatenate([r[:480], r[540:]])).mean()
         assert inside > 2.0 * outside
+
+
+def looped_residual_components(windows: np.ndarray, period: int) -> np.ndarray:
+    """``residual_components`` as it was with a Python loop over phases:
+    the oracle of the loop-free per-phase means."""
+    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    batch, length = windows.shape
+    period = max(int(period), 1)
+
+    window = min(period, length)
+    if window <= 1:
+        trend = windows.copy()
+    else:
+        pad_left = window // 2
+        pad_right = window - 1 - pad_left
+        padded = np.pad(windows, ((0, 0), (pad_left, pad_right)), mode="reflect")
+        kernel = np.ones(window) / window
+        trend = np.empty_like(windows)
+        for row, padded_row in zip(trend, padded):
+            row[:] = np.convolve(padded_row, kernel, mode="valid")
+    detrended = windows - trend
+
+    if period == 1:
+        seasonal = np.zeros_like(windows)
+    else:
+        phases = np.arange(length) % period
+        profile = np.zeros((batch, period))
+        for phase in range(period):
+            columns = detrended[:, phases == phase]
+            if columns.shape[1]:
+                profile[:, phase] = columns.mean(axis=1)
+        profile -= profile.mean(axis=1, keepdims=True)
+        seasonal = profile[:, phases]
+
+    residual = windows - trend - seasonal
+    std = residual.std(axis=1)
+    mean = residual.mean(axis=1)
+    live = std >= 1e-12
+    out = np.zeros_like(residual)
+    if live.any():
+        out[live] = (residual[live] - mean[live, None]) / std[live, None]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.integers(min_value=2, max_value=300),
+    period=st.integers(min_value=1, max_value=150),
+    batch=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_loop_free_residual_equals_the_phase_loop(length, period, batch, seed):
+    """Byte-equal to stacking per-window :func:`residual_component`
+    calls, and so to the per-phase loop wherever that loop was itself
+    batch-independent: one window, or fewer than 8 samples per phase.
+    Beyond that the loop's boolean-mask columns came out column-major, so
+    with two or more windows it summed a phase sequentially where one
+    window sums it pairwise."""
+    rng = np.random.default_rng(seed)
+    windows = rng.normal(size=(batch, length)) * rng.uniform(0.1, 100.0) + rng.normal(size=(batch, 1))
+    got = residual_components(windows, period)
+    per_window = [residual_component(w, period) for w in windows]
+    assert got.shape == (batch, length)
+    assert got.tobytes() == np.array(per_window).reshape(batch, length).tobytes()
+    if batch <= 1 or -(-length // period) < 8:
+        assert got.tobytes() == looped_residual_components(windows, period).tobytes()
