@@ -2,14 +2,10 @@
 
 The paper's pipeline is batch: a full test set arrives, TriAD nominates
 windows, MERLIN refines.  Industrial telemetry often needs *online*
-detection instead.  This example shows two extensions this library
-provides:
-
-1. :class:`repro.discord.StreamingDiscordDetector` — a DAMP-style
-   left-matrix-profile monitor that ingests one point at a time and
-   alerts the moment an unprecedented subsequence completes;
-2. :func:`repro.discord.top_k_discords` — batch top-K discord
-   extraction, for streams that may contain several events.
+detection instead.  This example runs
+:class:`repro.discord.StreamingDiscordDetector`, a DAMP-style
+left-matrix-profile monitor that ingests one point at a time and alerts
+the moment an unprecedented subsequence completes.
 
 Run:
     python examples/streaming_monitor.py
@@ -20,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import DatasetSpec, make_dataset
-from repro.discord import StreamingDiscordDetector, top_k_discords
+from repro.discord import StreamingDiscordDetector
 
 
 def main() -> None:
@@ -55,12 +51,7 @@ def main() -> None:
                 )
                 reported.append(alert.index)
     print(f"  events planted at ~1200-1320 and ~2400-2440; "
-          f"{len(reported)} alert bursts raised\n")
-
-    print("=== batch top-K discord extraction ===")
-    for discord in top_k_discords(stream, length=60, k=3, suppression=240):
-        lo, hi = discord.interval
-        print(f"  discord [{lo}, {hi})  NN-distance {discord.distance:.2f}")
+          f"{len(reported)} alert bursts raised")
 
 
 if __name__ == "__main__":

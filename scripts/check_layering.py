@@ -51,7 +51,7 @@ DRAG):
     2  brute             (Discord dataclass; exhaustive scan)
     3  drag
     4  merlin
-    5  streaming, topk
+    5  streaming
     6  __init__          (facade)
 
 Packages listed in ``IMPORT_LEAF`` (currently ``nn``) face a stricter
@@ -142,7 +142,6 @@ DISCORD_SUBLAYERS: dict[str, int] = {
     "drag": 3,
     "merlin": 4,
     "streaming": 5,
-    "topk": 5,
     "__init__": 6,
 }
 

@@ -1,17 +1,13 @@
 """Anomaly-simulating data augmentation (paper Sec. III-A)."""
 
-from .extra import scale_segment, shift_segment
 from .jitter import jitter_segment
-from .segment import ALL_AUGMENTATIONS, AUGMENTATIONS, augment_batch, augment_window
+from .segment import AUGMENTATIONS, augment_batch, augment_window
 from .warp import warp_segment
 
 __all__ = [
     "jitter_segment",
     "warp_segment",
-    "scale_segment",
-    "shift_segment",
     "augment_window",
     "augment_batch",
     "AUGMENTATIONS",
-    "ALL_AUGMENTATIONS",
 ]

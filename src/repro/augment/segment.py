@@ -11,26 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extra import scale_segment, shift_segment
 from .jitter import jitter_segment
 from .warp import warp_segment
 
-__all__ = ["augment_window", "augment_batch", "AUGMENTATIONS", "ALL_AUGMENTATIONS"]
+__all__ = ["augment_window", "augment_batch", "AUGMENTATIONS"]
 
-# TriAD's default pipeline (the paper's Eq. 3-4 pair)...
+# TriAD's pipeline: the paper's Eq. 3-4 pair.
 AUGMENTATIONS = ("jitter", "warp")
-# ...plus the literature's other segment-level staples, opt-in.
-ALL_AUGMENTATIONS = ("jitter", "warp", "scale", "shift")
 
 
 def augment_window(
     window: np.ndarray,
     rng: np.random.Generator,
-    methods: tuple[str, ...] = AUGMENTATIONS,
     min_fraction: float = 0.1,
     max_fraction: float = 0.5,
 ) -> np.ndarray:
-    """Apply one randomly chosen segment augmentation to ``window``.
+    """Apply jitter or warp, chosen at random, to one segment of ``window``.
 
     The segment start ``j`` and length ``l`` (Eq. 3) are drawn uniformly
     with ``l`` between ``min_fraction`` and ``max_fraction`` of the
@@ -40,23 +36,12 @@ def augment_window(
     size = len(window)
     length = int(rng.integers(max(int(size * min_fraction), 2), max(int(size * max_fraction), 3)))
     start = int(rng.integers(0, size - length + 1))
-    method = methods[rng.integers(0, len(methods))]
-    if method == "jitter":
+    if AUGMENTATIONS[rng.integers(0, len(AUGMENTATIONS))] == "jitter":
         return jitter_segment(window, start, length, rng)
-    if method == "warp":
-        return warp_segment(window, start, length, rng)
-    if method == "scale":
-        return scale_segment(window, start, length, rng)
-    if method == "shift":
-        return shift_segment(window, start, length, rng)
-    raise KeyError(f"unknown augmentation {method!r}")
+    return warp_segment(window, start, length, rng)
 
 
-def augment_batch(
-    windows: np.ndarray,
-    rng: np.random.Generator,
-    methods: tuple[str, ...] = AUGMENTATIONS,
-) -> np.ndarray:
+def augment_batch(windows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Augment each row of a ``(batch, length)`` array independently."""
     windows = np.asarray(windows, dtype=np.float64)
-    return np.stack([augment_window(w, rng, methods) for w in windows])
+    return np.stack([augment_window(w, rng) for w in windows])

@@ -2,10 +2,7 @@
 
 from .anomaly_transformer import AnomalyTransformerDetector
 from .base import BaseDetector, calibrate_threshold, spread_window_scores
-from .changepoint_detector import ChangePointDetector
 from .dcdetector import DCdetectorDetector
-from .deepant import DeepAnTDetector
-from .donut import DonutDetector, WindowVAE
 from .lstm_ae import LSTMAEDetector, LSTMAutoencoder
 from .mtgflow import MTGFlowDetector
 from .random_detector import OneLinerDetector, RandomScoreDetector
@@ -28,8 +25,4 @@ __all__ = [
     "OneLinerDetector",
     "SpectralResidualDetector",
     "SpectralResidualWindowScorer",
-    "ChangePointDetector",
-    "DeepAnTDetector",
-    "DonutDetector",
-    "WindowVAE",
 ]

@@ -18,7 +18,6 @@ Commands
               forces the degradation chain mid-replay.
 ``serve-shard``  Drive the sharded serving fabric over a fleet of
               streams, optionally SIGKILLing a worker mid-run.
-``tune``      Grid-search TriAD hyper-parameters on a small archive.
 ``submit``    Submit a bulk-scoring job (resumable chunked execution)
               and drive it to a terminal state; re-running the same
               command resumes rather than recomputes (docs/JOBS.md).
@@ -66,11 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--epochs", type=int, default=4)
     p_compare.add_argument("--detectors", type=str,
                            default="one-liner,lstm-ae,triad",
-                           help="comma list: one-liner,random,lstm-ae,"
-                                "lstm-ae-random,usad,ts2vec,mtgflow,"
-                                "dcdetector,anomaly-transformer,"
-                                "spectral-residual,changepoint,donut,"
-                                "deepant,triad")
+                           help="comma list: " + ",".join(_COMPARE_DETECTORS))
     p_compare.add_argument("--json", type=Path, default=None,
                            help="also write results to this JSON file")
     p_compare.add_argument("--mode", choices=("binary", "scores"), default="binary",
@@ -187,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--detector", type=str, default="spectral-residual",
                           help="a registered job detector (see docs/JOBS.md); "
                                "e.g. triad, spectral-residual, lstm-ae, usad, "
-                               "deepant, donut, changepoint, random")
+                               "random")
     p_submit.add_argument("--store", type=Path, default=Path("jobstore"),
                           help="job store directory (journals + inputs + "
                                "results); jobs resume from here after a crash")
@@ -221,14 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_jcancel.add_argument("job_id", type=str)
     p_jcancel.add_argument("--store", type=Path, default=Path("jobstore"))
-
-    p_tune = sub.add_parser("tune", help="grid-search TriAD hyper-parameters")
-    p_tune.add_argument("--size", type=int, default=3)
-    p_tune.add_argument("--epochs", type=int, default=2)
-    p_tune.add_argument("--alpha", type=str, default="0.2,0.4,0.6",
-                        help="comma list of alpha values to sweep")
-    p_tune.add_argument("--depth", type=str, default="",
-                        help="comma list of encoder depths to sweep")
     return parser
 
 
@@ -324,10 +311,8 @@ _DETECTOR_FACTORIES = {
         epochs=max(epochs // 2, 1), seed=seed
     ),
     "spectral-residual": lambda seed, epochs: _b().SpectralResidualDetector(),
-    "changepoint": lambda seed, epochs: _b().ChangePointDetector(),
-    "donut": lambda seed, epochs: _b().DonutDetector(epochs=epochs, seed=seed),
-    "deepant": lambda seed, epochs: _b().DeepAnTDetector(epochs=epochs, seed=seed),
 }
+_COMPARE_DETECTORS = (*_DETECTOR_FACTORIES, "triad")
 
 
 def _b():
@@ -355,12 +340,20 @@ def _cmd_compare(args) -> int:
     if args.trace and args.metrics_out is None:
         print("--trace requires --metrics-out", file=sys.stderr)
         return 2
+    names = [n.strip() for n in args.detectors.split(",") if n.strip()]
+    for name in names:
+        if name not in _COMPARE_DETECTORS:
+            print(f"unknown detector {name!r}; known: {', '.join(_COMPARE_DETECTORS)}",
+                  file=sys.stderr)
+            return 2
+    if "triad" in names and args.mode == "scores":
+        print("triad emits binary predictions; use --mode binary", file=sys.stderr)
+        return 2
     session = None
     if args.metrics_out is not None:
         session = obs.install(trace=args.trace)
 
     archive = make_archive(size=args.size, seed=7, train_length=1600, test_length=2000)
-    names = [n.strip() for n in args.detectors.split(",") if n.strip()]
 
     try:
         policy = None
@@ -374,19 +367,12 @@ def _cmd_compare(args) -> int:
         aggregates = []
         for name in names:
             if name == "triad":
-                if args.mode == "scores":
-                    print("triad emits binary predictions; use --mode binary",
-                          file=sys.stderr)
-                    return 2
                 factory = lambda s: TriAD(  # noqa: E731 - tiny adapter
                     TriADConfig(epochs=args.epochs, seed=s, max_window=256)
                 )
-            elif name in _DETECTOR_FACTORIES:
+            else:
                 base = _DETECTOR_FACTORIES[name]
                 factory = lambda s, base=base: base(s, args.epochs)
-            else:
-                print(f"unknown detector {name!r}", file=sys.stderr)
-                return 2
             runner = run_scores_on_archive if args.mode == "scores" else run_on_archive
             checkpoint = None
             if args.checkpoint is not None:
@@ -716,32 +702,6 @@ def _cmd_job_cancel(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    from .core import TriADConfig
-    from .data import make_archive
-    from .eval import grid_search, render_table
-
-    grid: dict[str, list] = {}
-    if args.alpha:
-        grid["alpha"] = [float(v) for v in args.alpha.split(",") if v.strip()]
-    if args.depth:
-        grid["depth"] = [int(v) for v in args.depth.split(",") if v.strip()]
-    if not grid:
-        print("nothing to sweep: pass --alpha and/or --depth", file=sys.stderr)
-        return 2
-    archive = make_archive(size=args.size, seed=7, train_length=1200, test_length=1500)
-    base = TriADConfig(epochs=args.epochs, max_window=192, seed=0)
-    result = grid_search(archive, grid, base_config=base)
-    print(render_table(
-        ["Configuration", "Tri-window accuracy"],
-        result.table_rows(),
-        title=f"Grid search over {args.size} datasets",
-    ))
-    best = ", ".join(f"{k}={v}" for k, v in result.points[0].overrides)
-    print(f"\nbest: {best} (accuracy {result.best_score:.3f})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -753,7 +713,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "serve-replay": _cmd_serve_replay,
         "serve-shard": _cmd_serve_shard,
-        "tune": _cmd_tune,
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,
         "job-result": _cmd_job_result,

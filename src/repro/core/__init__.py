@@ -3,7 +3,6 @@
 from .config import DOMAINS, TriADConfig
 from .detector import TriAD, TriADDetection
 from .encoder import DilatedConvEncoder, ResidualBlock, TriDomainEncoder
-from .multivariate import MultivariateDetection, MultivariateTriAD
 from .losses import inter_domain_loss, intra_domain_loss, total_contrastive_loss
 from .persistence import load_detector, save_detector
 from .scoring import VoteResult, accumulate_votes, score_votes, threshold_votes
@@ -27,8 +26,6 @@ __all__ = [
     "threshold_votes",
     "TrainResult",
     "train_encoder",
-    "MultivariateDetection",
-    "MultivariateTriAD",
     "load_detector",
     "save_detector",
     "score_votes_weighted",

@@ -1,5 +1,5 @@
-"""Discord discovery algorithms: brute force, DRAG, MERLIN, top-k and
-the streaming left matrix profile — all built on the one chunked
+"""Discord discovery algorithms: brute force, DRAG, MERLIN and the
+streaming left matrix profile — all built on the one chunked
 distance-kernel layer in :mod:`repro.discord.kernels`.  The original
 scalar loops they are checked against live under ``tests/discord``."""
 
@@ -14,12 +14,10 @@ from .drag import drag
 from .kernels import SeriesContext, nearest_neighbor_distances
 from .merlin import MerlinResult, merlin
 from .streaming import StreamingDiscordDetector, left_matrix_profile
-from .topk import top_k_discords
 
 __all__ = [
     "StreamingDiscordDetector",
     "left_matrix_profile",
-    "top_k_discords",
     "Discord",
     "brute_force_discord",
     "SeriesContext",

@@ -48,8 +48,7 @@ def default_exclusion(length: int, convention: str = "discord") -> int:
 
     - ``"discord"`` — zone equals the subsequence ``length``: neighbors
       must be completely non-overlapping.  MERLIN's convention (Nakamura
-      et al., ICDM 2020), used by DRAG, MERLIN and
-      ``top_k_discords``.
+      et al., ICDM 2020), used by DRAG and MERLIN.
     - ``"profile"`` — zone is ``max(length // 2, 1)``: the common
       matrix-profile convention, used by ``nearest_neighbor_distances``.
     """

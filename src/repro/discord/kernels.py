@@ -4,7 +4,7 @@ Every discord algorithm in this package reduces to the same primitive:
 z-normalized Euclidean distances between subsequences, computed via the
 dot-product identity ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``.  This
 module is the one home for that math — one production kernel, as
-``repro.nn.conv1d`` has — so DRAG, MERLIN, brute force, top-k and the
+``repro.nn.conv1d`` has — so DRAG, MERLIN, brute force and the
 streaming detector all draw from one set of batched sweeps instead of
 hand-rolling their own loops.
 

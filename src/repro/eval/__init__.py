@@ -14,7 +14,6 @@ from .runner import (
     run_scores_on_archive,
 )
 from .tables import render_table
-from .tuning import GridSearchResult, SweepPoint, grid_search, tri_window_accuracy
 
 __all__ = [
     "EXPERIMENTS",
@@ -35,10 +34,6 @@ __all__ = [
     "load_results",
     "per_type_breakdown",
     "save_results",
-    "GridSearchResult",
-    "SweepPoint",
-    "grid_search",
-    "tri_window_accuracy",
     "build_report",
     "write_report",
 ]

@@ -110,12 +110,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "benchmarks/bench_ablation_scoring.py",
             "Uniform vs weighted voting x exception on/off",
         ),
-        Experiment(
-            "extended-baselines",
-            "(extension)",
-            "benchmarks/bench_extended_baselines.py",
-            "SR / ChangePoint / Donut / DeepAnT vs TriAD, per-type breakdown",
-        ),
     ]
 }
 

@@ -151,7 +151,4 @@ register_job_detector("triad", _build_triad)
 register_job_detector("spectral-residual", _build_spectral_residual)
 register_job_detector("lstm-ae", _baseline_builder("LSTMAEDetector", trained=True, epochs=4, seed=0))
 register_job_detector("usad", _baseline_builder("USADDetector", epochs=4, seed=0))
-register_job_detector("deepant", _baseline_builder("DeepAnTDetector", epochs=4, seed=0))
-register_job_detector("donut", _baseline_builder("DonutDetector", epochs=4, seed=0))
 register_job_detector("random", _baseline_builder("RandomScoreDetector", seed=0))
-register_job_detector("changepoint", _baseline_builder("ChangePointDetector"))

@@ -7,7 +7,6 @@ from .butterworth import (
     filtfilt,
     lfilter,
 )
-from .changepoint import binary_segmentation, segment_costs
 from .decompose import Decomposition, decompose, moving_average, residual_component
 from .fft import frequency_features
 from .normalize import robust_zscore, zscore
@@ -15,8 +14,6 @@ from .period import acf_period, autocorrelation, estimate_period, fft_period
 from .windows import WindowPlan, plan_windows, sliding_windows
 
 __all__ = [
-    "binary_segmentation",
-    "segment_costs",
     "butter_lowpass",
     "butterworth_smooth",
     "filtfilt",

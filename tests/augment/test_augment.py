@@ -80,10 +80,6 @@ class TestAugmentWindow:
             span = changed[-1] - changed[0] + 1
             assert span <= int(len(window) * 0.3) + 1
 
-    def test_unknown_method_raises(self, window, rng):
-        with pytest.raises(KeyError):
-            augment_window(window, rng, methods=("mystery",))
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_property_always_differs_and_same_shape(self, seed):

@@ -8,7 +8,7 @@ does for the conv kernel:
 
 - ``drag`` runs the sequential scan (:func:`drag_reference`) in place of
   ``_drag_blocked``;
-- ``nn_profile`` (so brute force, top-k and
+- ``nn_profile`` (so brute force and
   ``nearest_neighbor_distances``) runs the chunked loop
   (:func:`reference_nn_profile`);
 - ``merlin`` builds no ``SeriesContext`` and seeds no length, so it runs

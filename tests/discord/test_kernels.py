@@ -17,7 +17,6 @@ from repro.discord import (
     drag,
     left_matrix_profile,
     nearest_neighbor_distances,
-    top_k_discords,
     znorm_subsequences,
 )
 from repro.discord.kernels import SeriesContext
@@ -121,13 +120,6 @@ class TestExclusionConventions:
         np.testing.assert_array_equal(default, explicit)
         wider = nearest_neighbor_distances(series, 17, exclusion=17)
         assert (wider >= default - 1e-12).all() and not np.array_equal(wider, default)
-
-    def test_topk_defaults_to_discord_convention(self, series):
-        default = top_k_discords(series, 16, k=2)
-        explicit = top_k_discords(series, 16, k=2, exclusion=16)
-        assert [(d.index, d.distance) for d in default] == [
-            (d.index, d.distance) for d in explicit
-        ]
 
 
 # ----------------------------------------------------------------------

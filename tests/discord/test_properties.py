@@ -11,7 +11,6 @@ from repro.discord import (
     brute_force_discord,
     drag,
     nearest_neighbor_distances,
-    top_k_discords,
 )
 
 
@@ -45,16 +44,3 @@ def test_profile_bounds(seed):
     finite = profile[np.isfinite(profile)]
     assert np.all(finite >= 0)
     assert np.all(finite <= 2.0 * np.sqrt(length) + 1e-6)
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
-@settings(max_examples=15, deadline=None)
-def test_top_k_prefix_property(seed, k):
-    """top_k(k) is a prefix of top_k(k+1)."""
-    series = make_series(seed, n=200)
-    length = 15
-    smaller = top_k_discords(series, length, k=k)
-    larger = top_k_discords(series, length, k=k + 1)
-    for a, b in zip(smaller, larger):
-        assert a.index == b.index
-        assert a.distance == pytest.approx(b.distance)

@@ -1,4 +1,4 @@
-"""Tests for top-K discords and the streaming (left-profile) detector."""
+"""Tests for the streaming (left-profile) detector."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.discord import (
     StreamingDiscordDetector,
-    brute_force_discord,
     left_matrix_profile,
-    top_k_discords,
 )
 
 
@@ -20,44 +18,6 @@ def two_anomaly_series(rng):
     x[400:440] = -x[400:440]  # event 1: inverted cycles
     x[1000:1040] += np.sin(2 * np.pi * np.arange(40) / 10)  # event 2: fast ripple
     return x
-
-
-class TestTopKDiscords:
-    def test_k1_matches_brute_force(self, two_anomaly_series):
-        top = top_k_discords(two_anomaly_series, 50, k=1)
-        reference = brute_force_discord(two_anomaly_series, 50, exclusion=50)
-        assert top[0].index == reference.index
-        assert top[0].distance == pytest.approx(reference.distance)
-
-    def test_finds_both_events(self, two_anomaly_series):
-        # Suppress a wide neighborhood so the two picks are distinct
-        # events, not two shoulders of the same one.
-        top = top_k_discords(two_anomaly_series, 50, k=2, suppression=200)
-        assert len(top) == 2
-        centers = sorted(d.index + 25 for d in top)
-        assert abs(centers[0] - 420) < 80
-        assert abs(centers[1] - 1020) < 80
-
-    def test_results_non_overlapping(self, two_anomaly_series):
-        top = top_k_discords(two_anomaly_series, 50, k=5)
-        indices = [d.index for d in top]
-        for i, a in enumerate(indices):
-            for b in indices[i + 1 :]:
-                assert abs(a - b) >= 50
-
-    def test_distances_non_increasing(self, two_anomaly_series):
-        top = top_k_discords(two_anomaly_series, 50, k=4)
-        distances = [d.distance for d in top]
-        assert distances == sorted(distances, reverse=True)
-
-    def test_k_larger_than_possible(self, rng):
-        x = rng.normal(size=120)
-        top = top_k_discords(x, 40, k=10)
-        assert 0 < len(top) <= 2  # only ~2 non-overlapping length-40 slots
-
-    def test_invalid_k(self, rng):
-        with pytest.raises(ValueError):
-            top_k_discords(rng.normal(size=100), 10, k=0)
 
 
 class TestLeftMatrixProfile:

@@ -132,6 +132,24 @@ class TestCli:
 
     def test_compare_unknown_detector(self, capsys):
         assert main(["compare", "--detectors", "hal9000"]) == 2
+        err = capsys.readouterr().err
+        assert "known: one-liner," in err and err.rstrip().endswith("triad")
+
+    @pytest.mark.parametrize("detectors, mode", [
+        ("one-liner,nope", "binary"),
+        ("one-liner,triad", "scores"),
+    ])
+    def test_compare_rejects_names_before_any_fit(self, monkeypatch, capsys,
+                                                  detectors, mode):
+        import repro.eval
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a detector ran before every name was checked")
+
+        monkeypatch.setattr(repro.eval, "run_on_archive", fail)
+        monkeypatch.setattr(repro.eval, "run_scores_on_archive", fail)
+        assert main(["compare", "--detectors", detectors, "--mode", mode]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCliReportAndTune:
@@ -150,21 +168,12 @@ class TestCliReportAndTune:
     def test_report_missing_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "nope")]) == 2
 
-    def test_tune_sweeps_alpha(self, capsys):
-        assert main(["tune", "--size", "1", "--epochs", "1", "--alpha", "0.3,0.5"]) == 0
-        out = capsys.readouterr().out
-        assert "alpha=0.3" in out
-        assert "best:" in out
-
-    def test_tune_without_grid_fails(self, capsys):
-        assert main(["tune", "--alpha", "", "--depth", ""]) == 2
-
 
 class TestCliScoresMode:
     def test_scores_leaderboard(self, capsys):
         assert main(["compare", "--size", "2", "--epochs", "1",
                      "--mode", "scores",
-                     "--detectors", "one-liner,changepoint"]) == 0
+                     "--detectors", "one-liner,random"]) == 0
         out = capsys.readouterr().out
         assert "roc_auc" in out
         assert "one-liner" in out
